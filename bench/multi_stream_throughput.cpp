@@ -16,9 +16,9 @@
  * (see docs/suffix_batching.md).
  *
  * Executions per row:
- *   serial      the legacy internal StreamExecutor, stream loop and
- *               kernel pool pinned to one thread (the bit-exactness
- *               reference),
+ *   serial      the reference Engine: one worker thread, no frame
+ *               pipelining, no batching, kernel pool pinned to one
+ *               thread (the bit-exactness reference),
  *   pipe=off    the Engine serving API with frame pipelining
  *               disabled (pipeline_depth=1),
  *   pipe=on     the Engine with the stage scheduler enabled,
@@ -52,7 +52,6 @@
 
 #include "api/engine.h"
 #include "bench_common.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "util/json.h"
 
@@ -191,24 +190,6 @@ engine_config(const Workload &wl, i64 threads, i64 pipeline_depth)
     return config;
 }
 
-/** Legacy-API options matching engine_config, for the cross-check. */
-StreamExecutorOptions
-legacy_options(const Workload &wl, i64 threads)
-{
-    StreamExecutorOptions opts;
-    opts.num_threads = threads;
-    opts.pipeline_depth = 1;
-    opts.amc.search_radius = wl.search_radius;
-    opts.amc.target_choice = std::string(wl.target) == "early"
-                                 ? TargetChoice::kEarly
-                                 : TargetChoice::kLastSpatial;
-    const std::string policy = wl.policy;
-    opts.make_policy = [policy](i64) {
-        return PolicyRegistry::instance().make(policy);
-    };
-    return opts;
-}
-
 /** Everything the suffix-batching comparison phase produced. */
 struct BatchPhase
 {
@@ -259,10 +240,10 @@ run_batch_phase(const Args &args, i64 streams, i64 frames)
         multi_stream_set(/*seed=*/43, streams, frames, 80);
 
     ThreadPool::set_global_size(1);
-    StreamExecutor serial(net, legacy_options(wl, 1));
-    const BatchResult base = serial.run(feeds);
+    Engine serial(net, engine_config(wl, 1, 1));
+    const RunReport base = serial.run(feeds);
     phase.serial_fps = base.frames_per_second();
-    phase.serial_digest = base.digest();
+    phase.serial_digest = base.digest;
 
     ThreadPool::set_global_size(args.threads);
     {
@@ -277,8 +258,8 @@ run_batch_phase(const Args &args, i64 streams, i64 frames)
         Engine engine(net, config);
         phase.on = engine.run(feeds);
     }
-    phase.identical = base.digest() == phase.off.digest &&
-                      base.digest() == phase.on.digest;
+    phase.identical = base.digest == phase.off.digest &&
+                      base.digest == phase.on.digest;
     return phase;
 }
 
@@ -366,11 +347,11 @@ main(int argc, char **argv)
         const std::vector<Sequence> streams =
             multi_stream_set(/*seed=*/41, n, args.frames, args.size);
 
-        // 1-thread serial baseline on the legacy internal API: stream
-        // loop, frame loop, and kernels pinned to one thread.
+        // 1-thread serial baseline: the reference Engine (one worker,
+        // depth 1, batch off) with kernels pinned to one thread.
         ThreadPool::set_global_size(1);
-        StreamExecutor serial(net, legacy_options(wl, 1));
-        const BatchResult base = serial.run(streams);
+        Engine serial(net, engine_config(wl, 1, 1));
+        const RunReport base = serial.run(streams);
 
         // The Engine serving API, frame pipelining off/on. Streams
         // fan out across its pool; with pipelining the stage
@@ -398,13 +379,13 @@ main(int argc, char **argv)
 
         bool identical = true;
         if (run_off) {
-            identical = identical && base.digest() == off.digest;
+            identical = identical && base.digest == off.digest;
         }
         if (run_on) {
-            identical = identical && base.digest() == on.digest;
+            identical = identical && base.digest == on.digest;
         }
         if (run_batch) {
-            identical = identical && base.digest() == batched.digest;
+            identical = identical && base.digest == batched.digest;
         }
         all_identical = all_identical && identical;
         const double speedup =

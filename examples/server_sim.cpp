@@ -14,8 +14,8 @@
  * credit. At the end the server drains gracefully (every in-flight
  * frame answered, BYE to every connection), prints its RunReport —
  * now including the `net` section — and the same traffic is replayed
- * on the legacy single-threaded StreamExecutor to verify the whole
- * TCP path was bit-identical.
+ * on a serial reference Engine (one thread, no pipelining, no
+ * batching) to verify the whole TCP path was bit-identical.
  *
  * See docs/serving.md for the wire format and semantics.
  */
@@ -26,7 +26,6 @@
 #include "cnn/model_zoo.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "video/scenarios.h"
 
@@ -133,16 +132,14 @@ main()
               << "occupancy " << report.batching.mean_occupancy()
               << "\n";
 
-    // Replay the same traffic serially on the legacy internal API and
+    // Replay the same traffic on the serial reference engine and
     // compare: the whole TCP serving path must be bit-identical.
-    StreamExecutorOptions replay_opts;
-    replay_opts.num_threads = 1;
-    replay_opts.make_policy = [](i64) {
-        return std::make_unique<BlockErrorPolicy>(/*threshold=*/0.02,
-                                                  /*max_gap=*/8);
-    };
-    StreamExecutor replay(net, replay_opts);
-    const u64 serial_digest = replay.run(feeds).digest();
+    EngineConfig replay_config;
+    replay_config.policy = kPolicySpec;
+    replay_config.num_threads = 1;
+    replay_config.pipeline_depth = 1;
+    Engine replay(net, replay_config);
+    const u64 serial_digest = replay.run(feeds).digest;
     const bool identical = serial_digest == report.digest;
     std::cout << "\nTCP serving path vs serial batch replay: "
               << (identical ? "bit-identical" : "MISMATCH") << "\n";

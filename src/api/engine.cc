@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "eval/metrics.h"
@@ -94,9 +95,6 @@ EngineConfig::resolve(const Network &net) const
     require(pipeline_depth >= 0,
             "EngineConfig: pipeline_depth must be >= 0, got " +
                 std::to_string(pipeline_depth));
-    opts.num_threads = num_threads;
-    opts.store_outputs = store_outputs;
-    opts.pipeline_depth = pipeline_depth;
     opts.suffix_batch = resolve_batch(batch);
     // Validate the memory spec here so a typo throws at construction
     // like every other field; the Engine re-resolves it for its own
@@ -120,7 +118,7 @@ EngineConfig::resolve(const Network &net) const
 // Session
 
 Session::Session(Engine *engine, i64 index, std::string name,
-                 AmcPipeline *pipeline)
+                 AmcPipeline *pipeline, SuffixBatcher *batcher)
     : engine_(engine),
       index_(index),
       name_(std::move(name)),
@@ -137,11 +135,10 @@ Session::Session(Engine *engine, i64 index, std::string name,
     opts.store_outputs = engine_->store_outputs_;
     // With batch=auto the suffix stage becomes enqueue-to-batcher:
     // this session's suffixes execute batched with every other
-    // session's. Sessions are created under the engine mutex, which
-    // serializes the batcher's lazy creation.
-    opts.batcher = engine_->executor_->suffix_batcher();
+    // session's.
+    opts.batcher = batcher;
     scheduler_ = std::make_unique<StageScheduler>(
-        *pipeline_, engine_->executor_->pool(), opts,
+        *pipeline_, engine_->pool_.get(), opts,
         [this](FrameCommit commit) {
             record_commit(std::move(commit));
         });
@@ -445,11 +442,16 @@ Session::time_bounds(std::chrono::steady_clock::time_point *first,
 Engine::Engine(const Network &net, EngineConfig config)
     : net_(&net),
       config_(std::move(config)),
+      resolved_(config_.resolve(net)),
       store_outputs_(config_.store_outputs),
-      executor_(std::make_unique<StreamExecutor>(
-          net, config_.resolve(net))),
+      num_threads_(config_.num_threads > 0
+                       ? config_.num_threads
+                       : ThreadPool::default_num_threads()),
       memory_budget_(resolve_memory_spec(config_.memory))
 {
+    if (num_threads_ > 1) {
+        pool_ = std::make_unique<ThreadPool>(num_threads_);
+    }
     if (memory_budget_.enabled) {
         resident_ =
             std::make_unique<ResidentSetManager>(memory_budget_);
@@ -495,33 +497,30 @@ Engine::close()
     // enqueued, so acquiring every gate here means the flush below
     // sees every racing frame, and any submit arriving afterwards
     // observes closed_ under the gate and throws.
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
+    const std::vector<Session *> sessions = session_list();
     for (Session *s : sessions) {
         MutexLock gate(s->submit_mutex_);
     }
     flush();
 }
 
-AmcPipeline &
-Engine::pipeline_locked(i64 index)
+SuffixBatcher *
+Engine::suffix_batcher_locked()
 {
-    AmcPipeline &p = executor_->pipeline(index);
-    while (static_cast<i64>(timings_.size()) <=
-           executor_->num_pipelines() - 1) {
-        const i64 i = static_cast<i64>(timings_.size());
-        timings_.push_back(std::make_unique<StageTimings>());
-        if (config_.collect_timings) {
-            executor_->pipeline(i).set_observer(timings_.back().get());
-        }
+    if (!resolved_.suffix_batch.enabled) {
+        return nullptr;
     }
-    return p;
+    if (!batcher_) {
+        // Every pipeline shares one network and one config, so
+        // stream 0's compiled suffix describes them all; its batched
+        // form is what every session's scheduler enqueues into.
+        batched_suffix_ = std::make_unique<BatchedExecutionPlan>(
+            pipelines_[0]->frame_plan().suffix_plan(),
+            resolved_.suffix_batch.max_batch);
+        batcher_ = std::make_unique<SuffixBatcher>(
+            *batched_suffix_, pool_.get(), resolved_.suffix_batch);
+    }
+    return batcher_.get();
 }
 
 Session &
@@ -537,11 +536,47 @@ Engine::session(const std::string &name)
     }
     ensure_open("Engine::session");
     const i64 index = static_cast<i64>(sessions_.size());
-    AmcPipeline &pipeline = pipeline_locked(index);
+    pipelines_.push_back(std::make_unique<AmcPipeline>(
+        *net_, resolved_.make_policy(index), resolved_.amc));
+    timings_.push_back(std::make_unique<StageTimings>());
+    if (config_.collect_timings) {
+        pipelines_.back()->set_observer(timings_.back().get());
+    }
     sessions_.push_back(std::unique_ptr<Session>(
-        new Session(this, index, name, &pipeline)));
+        new Session(this, index, name, pipelines_.back().get(),
+                    suffix_batcher_locked())));
     session_index_[name] = index;
     return *sessions_.back();
+}
+
+std::vector<Session *>
+Engine::session_list() const
+{
+    MutexLock lock(mutex_);
+    std::vector<Session *> out;
+    out.reserve(sessions_.size());
+    for (const auto &s : sessions_) {
+        out.push_back(s.get());
+    }
+    return out;
+}
+
+SuffixBatchStats
+Engine::batching_stats() const
+{
+    MutexLock lock(mutex_);
+    return batcher_ ? batcher_->stats() : SuffixBatchStats{};
+}
+
+StageTimings
+Engine::merged_timings() const
+{
+    MutexLock lock(mutex_);
+    StageTimings merged;
+    for (const auto &t : timings_) {
+        merged.merge(*t);
+    }
+    return merged;
 }
 
 Session *
@@ -651,13 +686,14 @@ Engine::base_report()
         report.memory = resident_->stats();
     }
     report.simd_isa = simd_supported() ? simd_isa_name() : "scalar";
-    report.num_threads = executor_->num_threads();
+    report.num_threads = num_threads_;
     report.pipeline_depth = config_.pipeline_depth;
-    report.batching = executor_->suffix_batch_stats();
+    report.batching = batching_stats();
     // Per-layer kernel selection: all pipelines share one network and
     // one config, so stream 0's compiled plans describe every stream.
-    if (executor_->num_pipelines() > 0) {
-        report.plan = executor_->pipeline(0).plan_records();
+    MutexLock lock(mutex_);
+    if (!pipelines_.empty()) {
+        report.plan = pipelines_[0]->plan_records();
     }
     return report;
 }
@@ -666,63 +702,72 @@ RunReport
 Engine::run(const std::vector<Sequence> &streams)
 {
     ensure_open("Engine::run");
-    flush();
-    // The batch path drives pipelines directly, below the session
-    // layer that hydrates on submit — wake any hibernated session
-    // first so the executor never runs a front on compressed state.
-    if (resident_) {
-        std::vector<Session *> sessions;
-        {
-            MutexLock lock(mutex_);
-            sessions.reserve(sessions_.size());
-            for (const auto &s : sessions_) {
-                sessions.push_back(s.get());
-            }
-        }
-        for (Session *s : sessions) {
-            MutexLock gate(s->submit_mutex_);
-            s->hydrate_if_hibernated();
+    std::set<std::string> names;
+    for (const Sequence &seq : streams) {
+        if (!names.insert(seq.name).second) {
+            throw ConfigError("Engine::run: two sequences are named '" +
+                              seq.name +
+                              "'; each name is one session's stream");
         }
     }
-    MutexLock lock(mutex_);
-    for (i64 i = 0; i < static_cast<i64>(streams.size()); ++i) {
-        pipeline_locked(i);
+    flush();
+    std::vector<Session *> targets;
+    targets.reserve(streams.size());
+    for (const Sequence &seq : streams) {
+        targets.push_back(&session(seq.name));
     }
     // Snapshot the (lifetime-cumulative) timing and batching sinks so
     // the report's stage rows and occupancy cover exactly this run,
     // like its frames and wall_ms.
-    StageTimings before;
-    for (const auto &t : timings_) {
-        before.merge(*t);
+    const StageTimings timings_before = merged_timings();
+    const SuffixBatchStats batch_before = batching_stats();
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::vector<FrameTicket>> tickets(streams.size());
+    std::exception_ptr rejected;
+    try {
+        for (size_t i = 0; i < streams.size(); ++i) {
+            tickets[i] = targets[i]->submit_all(streams[i]);
+        }
+    } catch (...) {
+        rejected = std::current_exception();
     }
-    const SuffixBatchStats batch_before =
-        executor_->suffix_batch_stats();
-    const BatchResult batch = executor_->run(streams);
+    // Drain everything already submitted before surfacing a rejected
+    // frame, so no queued work outlives this call's bookkeeping.
+    flush();
+    if (rejected) {
+        std::rethrow_exception(rejected);
+    }
 
     RunReport report = base_report();
-    report.batching =
-        executor_->suffix_batch_stats().delta_from(batch_before);
-    report.wall_ms = batch.wall_ms;
-    report.digest = batch.digest();
-    for (const StreamResult &s : batch.streams) {
+    report.batching = batching_stats().delta_from(batch_before);
+    report.wall_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    report.digest = kDigestSeed;
+    for (size_t i = 0; i < streams.size(); ++i) {
+        Session &s = *targets[i];
         StreamReport row;
-        row.name = s.name;
-        row.stream_index = s.stream_index;
-        row.frames = s.stats.frames;
-        row.key_frames = s.stats.key_frames;
-        row.me_add_ops = s.me_add_ops;
-        row.digest = s.digest;
+        row.name = s.name();
+        row.stream_index = s.index();
+        row.digest = kDigestSeed;
+        for (const FrameTicket &ticket : tickets[i]) {
+            const FrameOutcome outcome = *s.poll(ticket);
+            row.digest = digest_combine(row.digest, outcome.output_digest);
+            ++row.frames;
+            row.key_frames += outcome.is_key ? 1 : 0;
+            row.me_add_ops += outcome.me_add_ops;
+        }
+        // The rows above are this call's record; dropping the
+        // per-frame outcomes keeps repeated runs from growing memory.
+        s.forget_outcomes();
         report.frames += row.frames;
         report.key_frames += row.key_frames;
         report.me_add_ops += row.me_add_ops;
+        report.digest = digest_combine(report.digest, row.digest);
         report.streams.push_back(std::move(row));
     }
-    StageTimings merged;
-    for (const auto &t : timings_) {
-        merged.merge(*t);
-    }
-    report.stages =
-        stage_reports(merged.delta_from(before), report.wall_ms);
+    report.stages = stage_reports(
+        merged_timings().delta_from(timings_before), report.wall_ms);
     return report;
 }
 
@@ -738,14 +783,7 @@ Engine::report()
     // committed count the drain is waiting for). The flush() above
     // already quiesced every session, so the rows are stable; the
     // snapshot matches flush()'s own pattern.
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
+    const std::vector<Session *> sessions = session_list();
     RunReport report = base_report();
     report.digest = kDigestSeed;
     bool any_time = false;
@@ -775,28 +813,14 @@ Engine::report()
             std::chrono::duration<double, std::milli>(last - first)
                 .count();
     }
-    StageTimings merged;
-    {
-        MutexLock lock(mutex_);
-        for (const auto &t : timings_) {
-            merged.merge(*t);
-        }
-    }
-    report.stages = stage_reports(merged, report.wall_ms);
+    report.stages = stage_reports(merged_timings(), report.wall_ms);
     return report;
 }
 
 void
 Engine::flush()
 {
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
+    const std::vector<Session *> sessions = session_list();
     // Drain without holding the engine mutex: strand tasks only take
     // their session's mutex, so new sessions can still be created
     // while we wait. Surface the first stream failure after every
@@ -829,14 +853,7 @@ Engine::reset()
     // while its commit's eviction pass takes mutex_ — acquiring the
     // gate under mutex_ is that same pair in the opposite order. See
     // docs/static_analysis.md (lock ordering).
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
+    const std::vector<Session *> sessions = session_list();
     // Drain but swallow stream failures: reset discards the very
     // state (records, sticky errors) a failure poisoned.
     for (Session *s : sessions) {
@@ -847,7 +864,9 @@ Engine::reset()
     }
     {
         MutexLock lock(mutex_);
-        executor_->reset_streams();
+        for (const auto &p : pipelines_) {
+            p->reset();
+        }
         for (const auto &t : timings_) {
             t->reset();
         }

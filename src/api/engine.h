@@ -6,29 +6,30 @@
  * is configured declaratively — every component is a registry spec
  * string (`policy = "adaptive_error:th=0.05,max_gap=8"`), so a config
  * file or RPC payload can select policies, interpolation, and storage
- * codecs without touching C++ types — and it offers two ingestion
- * paths over the same per-stream AMC state:
+ * codecs without touching C++ types. Streams are fed through one
+ * path:
  *
- *  - the batch path, `run(streams)`: process whole Sequence chunks
- *    across all streams (the legacy StreamExecutor shape), and
  *  - the frame path, `Session::submit(frame) -> FrameTicket` plus
  *    `poll()`/`wait()`: feed one frame of one live feed at a time,
- *    the way frames actually arrive from cameras.
+ *    the way frames actually arrive from cameras;
+ *  - `run(streams)` is a convenience over it: it gets or creates the
+ *    session named after each Sequence, submits every frame, drains,
+ *    and folds this call's outcomes into a per-run RunReport.
  *
- * Both paths drive the same internal execution layer (one AmcPipeline
- * per stream behind a StreamExecutor), so a stream fed frame-by-frame
- * produces output digests bit-identical to the same frames fed as one
- * batch. Results come back as a structured RunReport — per-stream
- * stats, chained digests, RFBME op counts, per-stage timings from the
+ * Each session owns one stream's AMC state (one AmcPipeline and its
+ * StageScheduler strand), so a stream fed frame-by-frame produces
+ * output digests bit-identical to the same frames fed through run().
+ * Results come back as a structured RunReport — per-stream stats,
+ * chained digests, RFBME op counts, per-stage timings from the
  * instrumentation hook layer — with JSON serialization.
  *
  * Threading model: sessions are independent strands. submit() may be
  * called from any thread; frames of one session are processed
  * strictly in submission order (on the engine's worker pool, or
  * inline when num_threads == 1), while different sessions run
- * concurrently. Batch run(), report(), and reset() first drain all
- * in-flight session work; do not call them concurrently with
- * submissions to the streams they touch.
+ * concurrently. run(), report(), and reset() drain all in-flight
+ * session work; do not call them concurrently with submissions to
+ * the streams they touch.
  */
 #ifndef EVA2_API_ENGINE_H
 #define EVA2_API_ENGINE_H
@@ -47,6 +48,7 @@
 #include "runtime/stage_scheduler.h"
 #include "runtime/stream_executor.h"
 #include "util/mutex.h"
+#include "video/frame.h"
 
 namespace eva2 {
 
@@ -135,7 +137,8 @@ struct EngineConfig
 
     /**
      * Resolve every spec against the registries and the network into
-     * executor options; throws ConfigError on any invalid field.
+     * the options the Engine builds its pipelines from; throws
+     * ConfigError on any invalid field.
      */
     StreamExecutorOptions resolve(const Network &net) const;
 
@@ -275,7 +278,7 @@ class Session
     /**
      * This session's cumulative report row (drains first): frames,
      * key frames, RFBME ops, and the chained output digest that a
-     * batch run over the same frames reproduces bit-identically.
+     * run() over the same frames reproduces bit-identically.
      */
     StreamReport report();
 
@@ -292,7 +295,7 @@ class Session
     friend class Engine;
 
     Session(Engine *engine, i64 index, std::string name,
-            AmcPipeline *pipeline);
+            AmcPipeline *pipeline, SuffixBatcher *batcher);
 
     /** Commit sink: record one pipelined frame (in frame order). */
     void record_commit(FrameCommit commit);
@@ -348,7 +351,7 @@ class Session
     /** Per-commit push hook (may be null). */
     OutcomeSink outcome_sink_ GUARDED_BY(mutex_);
 
-    // Cumulative stream accounting (mirrors StreamResult).
+    // Cumulative stream accounting (one StreamReport row).
     u64 digest_ GUARDED_BY(mutex_) = kDigestSeed;
     i64 frames_ GUARDED_BY(mutex_) = 0;
     i64 key_frames_ GUARDED_BY(mutex_) = 0;
@@ -410,17 +413,25 @@ class Engine
     i64 in_flight() const;
 
     /**
-     * Batch path: process sequence i on stream i's pipeline, exactly
-     * like the legacy StreamExecutor::run. Drains all sessions first.
-     * Stream state persists across calls, so successive chunks of the
-     * same feeds continue their AMC state.
+     * Feed whole sequences through sessions: sequence i goes to the
+     * session named streams[i].name (created on first use, so it
+     * never aliases another stream's state), every frame is
+     * submitted, and the engine drains. The report covers exactly
+     * this call's frames, stage timings, and batching; its digest
+     * chains the per-stream digests in argument order. Stream state
+     * persists, so successive chunks of the same feeds continue
+     * their AMC state. The fed sessions' per-frame outcome records
+     * are forgotten afterwards (Session::forget_outcomes), so
+     * repeated runs do not grow memory. Throws ConfigError when two
+     * sequences share a name or a frame has the wrong shape — the
+     * latter only after draining what was already submitted.
      */
     RunReport run(const std::vector<Sequence> &streams);
 
     /**
-     * Aggregate report over everything the *sessions* have processed
-     * so far (drains first). Per-stream digests chain in session
-     * index order, matching a batch run over the same frames.
+     * Aggregate report over everything every session has processed
+     * so far, run() calls included (drains first). Per-stream digests
+     * chain in session index order.
      */
     RunReport report();
 
@@ -473,16 +484,26 @@ class Engine
     bool memory_pressure() const;
 
     /** Effective stream-level worker count. */
-    i64 num_threads() const { return executor_->num_threads(); }
+    i64 num_threads() const { return num_threads_; }
 
   private:
     friend class Session;
 
     /**
-     * The pipeline backing stream `index`, with its instrumentation
-     * observer installed; creates on demand.
+     * The shared cross-stream suffix batcher, created (with its
+     * BatchedExecutionPlan, from pipeline 0's compiled suffix) on
+     * first use; null with batch=off.
      */
-    AmcPipeline &pipeline_locked(i64 index) REQUIRES(mutex_);
+    SuffixBatcher *suffix_batcher_locked() REQUIRES(mutex_);
+
+    /** Batch occupancy counters so far; empty with batch=off. */
+    SuffixBatchStats batching_stats() const EXCLUDES(mutex_);
+
+    /** Every stream's stage timings so far, merged. */
+    StageTimings merged_timings() const EXCLUDES(mutex_);
+
+    /** Every session, in index order (the list only grows). */
+    std::vector<Session *> session_list() const EXCLUDES(mutex_);
 
     /** Throw a descriptive ConfigError when the engine is closed. */
     void ensure_open(const char *what) const;
@@ -498,25 +519,47 @@ class Engine
     /** Hibernate LRU-idle sessions until under budget or no victims. */
     void evict_to_budget(i64 protect_index) EXCLUDES(mutex_);
 
-    RunReport base_report();
+    RunReport base_report() EXCLUDES(mutex_);
 
     const Network *net_;
     EngineConfig config_;
+    /** config_ resolved: AMC options, policy factory, batching. */
+    StreamExecutorOptions resolved_;
     bool store_outputs_;
+    i64 num_threads_;
     std::atomic<bool> closed_{false};
-    std::unique_ptr<StreamExecutor> executor_;
     /** Resolved memory= spec; disabled ⇒ resident_ is null. */
     MemoryBudget memory_budget_;
     std::unique_ptr<ResidentSetManager> resident_;
 
     /**
-     * Guards the session/timing tables. Lock ordering (see
+     * Guards the stream tables. Lock ordering (see
      * docs/static_analysis.md): a submit gate may be held when a
      * commit takes mutex_ (inline engines), so mutex_ must never be
      * held while acquiring a gate or draining a session — that is the
      * deadlock report()/reset() used to have.
      */
     mutable Mutex mutex_;
+    /**
+     * One pipeline per session, by session index. Declared before
+     * pool_ so the pool's workers join before the pipelines they
+     * touch die.
+     */
+    std::vector<std::unique_ptr<AmcPipeline>> pipelines_
+        GUARDED_BY(mutex_);
+    /** Stream-level worker pool; null when num_threads_ == 1. */
+    std::unique_ptr<ThreadPool> pool_;
+    /**
+     * Suffix-batching machinery, created with the first session when
+     * batch=auto. Declared after pool_ so the batcher (whose
+     * destructor waits out in-flight batches) dies before the pool
+     * its batches run on, and after pipelines_ since the batched plan
+     * borrows the shared network through pipeline 0's compiled
+     * suffix.
+     */
+    std::unique_ptr<BatchedExecutionPlan> batched_suffix_
+        GUARDED_BY(mutex_);
+    std::unique_ptr<SuffixBatcher> batcher_ GUARDED_BY(mutex_);
     std::vector<std::unique_ptr<StageTimings>> timings_
         GUARDED_BY(mutex_);
     std::vector<std::unique_ptr<Session>> sessions_

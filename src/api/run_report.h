@@ -131,7 +131,7 @@ struct RunReport
     i64 frames = 0;
     i64 key_frames = 0;
     i64 me_add_ops = 0;
-    /** Stream digests chained in stream order (BatchResult::digest). */
+    /** Stream digests chained from kDigestSeed in stream order. */
     u64 digest = 0;
 
     std::vector<StreamReport> streams;

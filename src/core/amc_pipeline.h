@@ -2,16 +2,18 @@
  * @file
  * The activation motion compensation pipeline (Section II, Figure 1).
  *
- * AmcPipeline is the per-stream serial executor over the compiled
- * FramePlan stage graph (core/frame_plan.h): each process() call runs
- * one frame's stages front-to-back on the calling thread. All state —
- * the last key frame's pixels and its target-layer activation
- * (run-length encoded, as in the hardware's key frame activation
- * buffer), policy state, counters — lives in the FramePlan; this
- * class adds the classic one-call-per-frame surface, result
- * materialization, and instrumentation plumbing. The runtime's
- * stage scheduler drives the same FramePlan pipelined across frames
- * instead (bit-identical outputs, overlapping stage execution).
+ * AmcPipeline owns one stream's compiled FramePlan stage graph
+ * (core/frame_plan.h). All state — the last key frame's pixels and
+ * its target-layer activation (run-length encoded, as in the
+ * hardware's key frame activation buffer), policy state, counters —
+ * lives in the FramePlan; this class adds the classic
+ * one-call-per-frame process() surface, result materialization, and
+ * instrumentation plumbing. Served streams do not call process():
+ * each Engine session (api/engine.h) drives its pipeline's FramePlan
+ * through a StageScheduler, pipelined across frames with
+ * bit-identical outputs. process() runs one frame's stages
+ * front-to-back on the calling thread, for single-stream experiments
+ * (eval/, benches, examples).
  */
 #ifndef EVA2_CORE_AMC_PIPELINE_H
 #define EVA2_CORE_AMC_PIPELINE_H
@@ -42,7 +44,7 @@ struct AmcFrameResult
  * counters) lives in its FramePlan and is touched without
  * synchronization. The borrowed Network is only ever read, so any
  * number of pipelines may share one network from different threads;
- * that is how the runtime's StreamExecutor scales across streams.
+ * that is how an Engine's sessions scale across streams.
  * (The stage scheduler spreads ONE pipeline's frames across threads,
  * but serializes every stateful stage itself.)
  */

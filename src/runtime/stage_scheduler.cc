@@ -40,23 +40,6 @@ StageScheduler::schedule_front()
 i64
 StageScheduler::enqueue(Tensor frame)
 {
-    PendingFrame pending;
-    pending.owned = std::move(frame);
-    return enqueue_impl(std::move(pending));
-}
-
-i64
-StageScheduler::enqueue_ref(const Tensor *frame)
-{
-    require(frame != nullptr, "stage scheduler: null frame");
-    PendingFrame pending;
-    pending.borrowed = frame;
-    return enqueue_impl(std::move(pending));
-}
-
-i64
-StageScheduler::enqueue_impl(PendingFrame frame)
-{
     i64 index;
     bool schedule = false;
     {
@@ -78,7 +61,7 @@ void
 StageScheduler::pump_front()
 {
     for (;;) {
-        PendingFrame frame;
+        Tensor frame;
         i64 index;
         {
             MutexLock lock(mutex_);
@@ -107,7 +90,7 @@ StageScheduler::pump_front()
         ctx = FrameCtx{};
         try {
             const FrontResult front = pipeline_->frame_plan().run_front(
-                frame.image(), slot, ScratchArena::for_current_thread(),
+                frame, slot, ScratchArena::for_current_thread(),
                 observer());
             ctx.is_key = front.is_key;
             ctx.match_error = front.features.match_error;

@@ -128,13 +128,6 @@ class StageScheduler : public SuffixBatchClient
      */
     i64 enqueue(Tensor frame);
 
-    /**
-     * Enqueue a borrowed frame: the caller guarantees `*frame`
-     * outlives this frame's commit. The allocation-free ingestion
-     * form for batch runs over already-materialized sequences.
-     */
-    i64 enqueue_ref(const Tensor *frame);
-
     /** Block until every enqueued frame has committed. */
     void drain();
 
@@ -172,21 +165,6 @@ class StageScheduler : public SuffixBatchClient
         std::exception_ptr error;
     };
 
-    /** A queued frame: owned (moved in) or borrowed (enqueue_ref). */
-    struct PendingFrame
-    {
-        Tensor owned;
-        const Tensor *borrowed = nullptr;
-
-        const Tensor &
-        image() const
-        {
-            return borrowed != nullptr ? *borrowed : owned;
-        }
-    };
-
-    i64 enqueue_impl(PendingFrame frame);
-
     /** Front strand body: run fronts until out of frames or slots. */
     void pump_front();
 
@@ -221,7 +199,7 @@ class StageScheduler : public SuffixBatchClient
 
     mutable Mutex mutex_;
     CondVar cv_;
-    std::deque<PendingFrame> pending_ GUARDED_BY(mutex_);
+    std::deque<Tensor> pending_ GUARDED_BY(mutex_);
     /** Awaiting in-order flush. */
     std::map<i64, FrameCommit> ready_ GUARDED_BY(mutex_);
     /**

@@ -1,11 +1,6 @@
 #include "runtime/stream_executor.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
-
-#include "eval/metrics.h"
-#include "runtime/stage_scheduler.h"
 
 namespace eva2 {
 
@@ -50,318 +45,6 @@ tensor_digest(const Tensor &t)
         hash = fnv1a(&bits, sizeof(bits), hash);
     }
     return hash;
-}
-
-i64
-BatchResult::total_frames() const
-{
-    i64 n = 0;
-    for (const StreamResult &s : streams) {
-        n += s.stats.frames;
-    }
-    return n;
-}
-
-i64
-BatchResult::total_key_frames() const
-{
-    i64 n = 0;
-    for (const StreamResult &s : streams) {
-        n += s.stats.key_frames;
-    }
-    return n;
-}
-
-double
-BatchResult::key_fraction() const
-{
-    const i64 frames = total_frames();
-    return frames == 0 ? 0.0
-                       : static_cast<double>(total_key_frames()) /
-                             static_cast<double>(frames);
-}
-
-double
-BatchResult::frames_per_second() const
-{
-    return wall_ms <= 0.0
-               ? 0.0
-               : static_cast<double>(total_frames()) * 1000.0 / wall_ms;
-}
-
-u64
-BatchResult::digest() const
-{
-    u64 hash = kFnvOffset;
-    for (const StreamResult &s : streams) {
-        hash = digest_combine(hash, s.digest);
-    }
-    return hash;
-}
-
-std::vector<i64>
-BatchResult::labels() const
-{
-    std::vector<i64> out;
-    for (const StreamResult &s : streams) {
-        for (const FrameRecord &f : s.frames) {
-            out.push_back(f.top1);
-        }
-    }
-    return out;
-}
-
-double
-batch_top1_accuracy(const BatchResult &batch,
-                    const std::vector<Sequence> &streams)
-{
-    std::vector<i64> truth;
-    for (const Sequence &seq : streams) {
-        for (const LabeledFrame &f : seq.frames) {
-            truth.push_back(f.truth.dominant_class);
-        }
-    }
-    return agreement(batch.labels(), truth);
-}
-
-StreamExecutor::StreamExecutor(const Network &net,
-                               StreamExecutorOptions opts)
-    : net_(&net), opts_(std::move(opts))
-{
-    num_threads_ = opts_.num_threads > 0
-                       ? opts_.num_threads
-                       : ThreadPool::default_num_threads();
-    if (num_threads_ > 1) {
-        pool_ = std::make_unique<ThreadPool>(num_threads_);
-    }
-}
-
-StreamExecutor::~StreamExecutor() = default;
-
-SuffixBatcher *
-StreamExecutor::suffix_batcher()
-{
-    if (!opts_.suffix_batch.enabled) {
-        return nullptr;
-    }
-    if (!batcher_) {
-        // Every pipeline shares one network and one config, so
-        // stream 0's compiled suffix describes them all; its batched
-        // form is what every stream's scheduler enqueues into.
-        const ExecutionPlan &suffix =
-            pipeline_for(0).frame_plan().suffix_plan();
-        batched_suffix_ = std::make_unique<BatchedExecutionPlan>(
-            suffix, opts_.suffix_batch.max_batch);
-        batcher_ = std::make_unique<SuffixBatcher>(
-            *batched_suffix_, pool_.get(), opts_.suffix_batch);
-    }
-    return batcher_.get();
-}
-
-SuffixBatchStats
-StreamExecutor::suffix_batch_stats() const
-{
-    return batcher_ ? batcher_->stats() : SuffixBatchStats{};
-}
-
-AmcPipeline &
-StreamExecutor::pipeline_for(i64 index)
-{
-    while (static_cast<i64>(pipelines_.size()) <= index) {
-        const i64 i = static_cast<i64>(pipelines_.size());
-        std::unique_ptr<KeyFramePolicy> policy;
-        if (opts_.make_policy) {
-            policy = opts_.make_policy(i);
-        }
-        pipelines_.push_back(std::make_unique<AmcPipeline>(
-            *net_, std::move(policy), opts_.amc));
-    }
-    return *pipelines_[static_cast<size_t>(index)];
-}
-
-StreamResult
-StreamExecutor::run_stream(i64 index, const Sequence &seq)
-{
-    AmcPipeline &pipeline = *pipelines_[static_cast<size_t>(index)];
-    StreamResult result;
-    result.name = seq.name;
-    result.stream_index = index;
-    result.digest = kFnvOffset;
-    result.frames.reserve(seq.frames.size());
-    // Pipelines persist across run() calls; report this run's delta.
-    const AmcStats before = pipeline.stats();
-    for (const LabeledFrame &frame : seq.frames) {
-        AmcFrameResult fr = pipeline.process(frame.image);
-        FrameRecord record;
-        record.is_key = fr.is_key;
-        record.top1 = top1(fr.output);
-        record.output_digest = tensor_digest(fr.output);
-        record.match_error = fr.features.match_error;
-        result.digest =
-            digest_combine(result.digest, record.output_digest);
-        result.me_add_ops += fr.me_add_ops;
-        result.frames.push_back(record);
-        if (opts_.store_outputs) {
-            result.outputs.push_back(std::move(fr.output));
-        }
-    }
-    result.stats.frames = pipeline.stats().frames - before.frames;
-    result.stats.key_frames =
-        pipeline.stats().key_frames - before.key_frames;
-    return result;
-}
-
-void
-StreamExecutor::run_pipelined(const std::vector<Sequence> &streams,
-                              BatchResult &batch)
-{
-    const i64 n = static_cast<i64>(streams.size());
-
-    // Per-stream result builders, written only by the stream's own
-    // in-order commit flushes (the scheduler serializes them).
-    struct Builder
-    {
-        StreamResult result;
-        AmcStats before;
-        std::exception_ptr error;
-    };
-    std::vector<Builder> builders(static_cast<size_t>(n));
-    std::vector<std::unique_ptr<StageScheduler>> schedulers;
-    schedulers.reserve(static_cast<size_t>(n));
-    for (i64 i = 0; i < n; ++i) {
-        Builder &b = builders[static_cast<size_t>(i)];
-        const Sequence &seq = streams[static_cast<size_t>(i)];
-        AmcPipeline &pipeline = *pipelines_[static_cast<size_t>(i)];
-        b.result.name = seq.name;
-        b.result.stream_index = i;
-        b.result.digest = kFnvOffset;
-        b.result.frames.reserve(seq.frames.size());
-        b.before = pipeline.stats();
-        StageSchedulerOptions opts;
-        opts.depth = std::max<i64>(1, opts_.pipeline_depth);
-        opts.store_outputs = opts_.store_outputs;
-        opts.batcher = suffix_batcher();
-        const bool store = opts_.store_outputs;
-        schedulers.push_back(std::make_unique<StageScheduler>(
-            pipeline, pool_.get(), opts,
-            [&b, store](FrameCommit commit) {
-                if (commit.error) {
-                    if (!b.error) {
-                        b.error = commit.error;
-                    }
-                    return;
-                }
-                FrameRecord record;
-                record.is_key = commit.is_key;
-                record.top1 = commit.top1;
-                record.output_digest = commit.output_digest;
-                record.match_error = commit.match_error;
-                b.result.digest = digest_combine(b.result.digest,
-                                                 record.output_digest);
-                b.result.me_add_ops += commit.me_add_ops;
-                b.result.frames.push_back(record);
-                if (store) {
-                    b.result.outputs.push_back(
-                        std::move(commit.output));
-                }
-            }));
-    }
-
-    // The caller only enqueues and drains; the fronts and suffixes
-    // fan out on the pool (or run inline here when there is none),
-    // so no pool worker ever blocks waiting for another task.
-    for (i64 i = 0; i < n; ++i) {
-        for (const LabeledFrame &frame :
-             streams[static_cast<size_t>(i)].frames) {
-            schedulers[static_cast<size_t>(i)]->enqueue_ref(
-                &frame.image);
-        }
-    }
-    std::exception_ptr error;
-    for (i64 i = 0; i < n; ++i) {
-        schedulers[static_cast<size_t>(i)]->drain();
-    }
-    for (i64 i = 0; i < n; ++i) {
-        Builder &b = builders[static_cast<size_t>(i)];
-        const AmcStats after =
-            pipelines_[static_cast<size_t>(i)]->stats();
-        b.result.stats.frames = after.frames - b.before.frames;
-        b.result.stats.key_frames =
-            after.key_frames - b.before.key_frames;
-        batch.streams[static_cast<size_t>(i)] = std::move(b.result);
-        if (b.error && !error) {
-            error = b.error;
-        }
-    }
-    if (error) {
-        std::rethrow_exception(error);
-    }
-}
-
-BatchResult
-StreamExecutor::run(const std::vector<Sequence> &streams)
-{
-    const i64 n = static_cast<i64>(streams.size());
-    for (i64 i = 0; i < n; ++i) {
-        pipeline_for(i);
-    }
-
-    BatchResult batch;
-    batch.streams.resize(static_cast<size_t>(n));
-    if (uses_stage_scheduler()) {
-        const auto start = std::chrono::steady_clock::now();
-        run_pipelined(streams, batch);
-        const auto stop = std::chrono::steady_clock::now();
-        batch.wall_ms =
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count();
-        return batch;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    if (!pool_ || n <= 1) {
-        for (i64 i = 0; i < n; ++i) {
-            batch.streams[static_cast<size_t>(i)] =
-                run_stream(i, streams[static_cast<size_t>(i)]);
-        }
-    } else {
-        std::vector<std::future<StreamResult>> futures;
-        futures.reserve(static_cast<size_t>(n));
-        for (i64 i = 0; i < n; ++i) {
-            const Sequence *seq = &streams[static_cast<size_t>(i)];
-            futures.push_back(pool_->submit(
-                [this, i, seq]() { return run_stream(i, *seq); }));
-        }
-        // Wait on every future before rethrowing: queued tasks hold
-        // pointers into the caller's streams vector and into our
-        // pipelines, so no exception may escape while any stream
-        // task might still run.
-        std::exception_ptr error;
-        for (i64 i = 0; i < n; ++i) {
-            try {
-                batch.streams[static_cast<size_t>(i)] =
-                    futures[static_cast<size_t>(i)].get();
-            } catch (...) {
-                if (!error) {
-                    error = std::current_exception();
-                }
-            }
-        }
-        if (error) {
-            std::rethrow_exception(error);
-        }
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    batch.wall_ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    return batch;
-}
-
-void
-StreamExecutor::reset_streams()
-{
-    for (std::unique_ptr<AmcPipeline> &p : pipelines_) {
-        p->reset();
-    }
 }
 
 } // namespace eva2

@@ -1,45 +1,30 @@
 /**
  * @file
- * Multi-stream AMC execution.
+ * The resolved engine configuration and the output-digest helpers.
  *
- * A production EVA2 deployment serves many independent camera feeds at
- * once. AMC state (stored key frame, RLE activation buffer, policy
- * state) is per-stream by construction, so the natural unit of
- * parallelism is the stream: the StreamExecutor owns one AmcPipeline
- * per stream, all sharing one read-only Network, and drives them
- * concurrently on a ThreadPool. Within a stream, frames are
- * additionally software-pipelined across the FramePlan stages
- * (runtime/stage_scheduler.h) when pipeline_depth > 1: frame N+1's
- * motion estimation overlaps frame N's CNN suffix, which keeps cores
- * busy even with fewer streams than workers. Frames within a stream
- * still *commit* strictly ordered (temporal redundancy is the whole
- * point), so results are bit-identical to serial execution no matter
- * how streams or stages interleave.
+ * Every stream is served by one path: api/engine.h's Session, which
+ * feeds a StageScheduler (runtime/stage_scheduler.h) on the Engine's
+ * worker pool; Engine::run is sessions plus a drain. This header no
+ * longer holds a runner. It stays, under its historical name, because
+ * code built against the Engine (the bench harness among it) includes
+ * it for two things:
  *
- * CNN execution memory is per *worker*, not per stream: pipelines run
- * their compiled ExecutionPlans against the executing thread's
- * ScratchArena (ScratchArena::for_current_thread), so N streams on T
- * workers hold T arenas of activation scratch — zero steady-state
- * allocation per frame, with memory bounded by the worker count.
- *
- * The BatchResult aggregation keeps per-frame records small — a key
- * flag, the top-1 label, and a digest of the raw output bits — so a
- * throughput run over thousands of frames doesn't retain every output
- * tensor, while tests can still assert exact serial/parallel equality
- * (and can opt into retaining full outputs).
+ *  - StreamExecutorOptions, what EngineConfig::resolve() produces: the
+ *    validated AmcOptions and the per-stream policy factory, so a
+ *    caller can build a FramePlan or ExecutionPlan exactly as the
+ *    Engine would;
+ *  - tensor_digest / digest_combine / kDigestSeed, the bit-exact
+ *    output digests every serving layer (scheduler commits, sessions,
+ *    reports, the wire client) chains the same way.
  */
 #ifndef EVA2_RUNTIME_STREAM_EXECUTOR_H
 #define EVA2_RUNTIME_STREAM_EXECUTOR_H
 
 #include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/amc_pipeline.h"
 #include "runtime/suffix_batcher.h"
-#include "runtime/thread_pool.h"
-#include "video/frame.h"
 
 namespace eva2 {
 
@@ -50,206 +35,26 @@ u64 tensor_digest(const Tensor &t);
 constexpr u64 kDigestSeed = 1469598103934665603ull;
 
 /**
- * Fold digest `b` into chain `a`. Both the per-stream frame chain and
- * the batch-level stream chain use this, so any layer that processes
- * the same frames in the same order — batch run or frame-level
- * Session submission — reproduces the same digest.
+ * Fold digest `b` into chain `a`. Per-stream frame chains and the
+ * report-level stream chain both use this, so any layer that
+ * processes the same frames in the same order reproduces the same
+ * digest.
  */
 u64 digest_combine(u64 a, u64 b);
 
-/** Configuration of a StreamExecutor. */
+/** A resolved EngineConfig (EngineConfig::resolve). */
 struct StreamExecutorOptions
 {
     /** Pipeline options applied to every stream. */
     AmcOptions amc;
     /**
      * Per-stream key-frame policy factory (policies are stateful and
-     * owned, so each stream needs its own instance). Null selects the
-     * pipeline's default every-frame static policy.
+     * owned, so each stream needs its own instance).
      */
     std::function<std::unique_ptr<KeyFramePolicy>(i64 stream_index)>
         make_policy;
-    /**
-     * Worker threads for stream-level parallelism. 1 runs all streams
-     * serially on the calling thread; 0 selects
-     * ThreadPool::default_num_threads().
-     */
-    i64 num_threads = 0;
-    /** Retain every output tensor in StreamResult::outputs. */
-    bool store_outputs = false;
-    /**
-     * Frames of one stream software-pipelined across FramePlan
-     * stages (runtime/stage_scheduler): frame N+1's motion
-     * estimation overlaps frame N's CNN suffix, with up to this many
-     * frames in flight per stream. <= 1 disables pipelining (the
-     * legacy strictly serial frame loop). Outputs are bit-identical
-     * either way; this is purely an execution-shape knob.
-     */
-    i64 pipeline_depth = 3;
-    /**
-     * Cross-stream suffix batching (runtime/suffix_batcher.h): when
-     * enabled, every stream's CNN suffix is collected into shared
-     * BatchedExecutionPlan runs under the max_batch/max_delay_us
-     * policy instead of executing as per-stream batch-of-1 tasks.
-     * Outputs are bit-identical either way.
-     */
+    /** Cross-stream suffix batching (runtime/suffix_batcher.h). */
     SuffixBatchOptions suffix_batch;
-};
-
-/** Per-frame record kept by the aggregation layer. */
-struct FrameRecord
-{
-    bool is_key = false;
-    i64 top1 = -1;          ///< Argmax of the network output.
-    u64 output_digest = 0;  ///< Digest of the raw output bits.
-    double match_error = 0; ///< RFBME mean error (0 on first frames).
-};
-
-/** Everything recorded about one stream's run. */
-struct StreamResult
-{
-    std::string name;
-    i64 stream_index = 0;
-    AmcStats stats;
-    i64 me_add_ops = 0; ///< Total RFBME arithmetic over the stream.
-    std::vector<FrameRecord> frames;
-    std::vector<Tensor> outputs; ///< Only with store_outputs.
-    u64 digest = 0; ///< Frame digests chained in stream order.
-};
-
-/** Aggregate over all streams of one run() call. */
-struct BatchResult
-{
-    std::vector<StreamResult> streams;
-    double wall_ms = 0.0;
-
-    i64 total_frames() const;
-    i64 total_key_frames() const;
-    double key_fraction() const;
-    double frames_per_second() const;
-
-    /**
-     * Digest over all streams, in stream order. Equal digests mean
-     * bit-identical outputs for every frame of every stream.
-     */
-    u64 digest() const;
-
-    /** Top-1 labels flattened in (stream, frame) order. */
-    std::vector<i64> labels() const;
-};
-
-/**
- * Top-1 accuracy of a batch against the sequences' ground truth
- * (dominant class per frame), via eval/metrics' agreement().
- */
-double batch_top1_accuracy(const BatchResult &batch,
-                           const std::vector<Sequence> &streams);
-
-/** Runs N per-stream AmcPipelines over N sequences. */
-class StreamExecutor
-{
-  public:
-    /**
-     * @param net  Shared network; read-only during runs and must
-     *             outlive the executor.
-     * @param opts Executor configuration.
-     */
-    explicit StreamExecutor(const Network &net,
-                            StreamExecutorOptions opts = {});
-
-    ~StreamExecutor();
-
-    /**
-     * Process sequence i on pipeline i, creating pipelines on demand.
-     * Pipeline state persists across calls, so a live deployment can
-     * feed successive chunks of each stream incrementally; call
-     * reset_streams() for an independent run.
-     */
-    BatchResult run(const std::vector<Sequence> &streams);
-
-    /** Drop all per-stream state (pipelines reset, not destroyed). */
-    void reset_streams();
-
-    /** Effective stream-level worker count. */
-    i64 num_threads() const { return num_threads_; }
-
-    const Network &network() const { return *net_; }
-
-    /**
-     * The pipeline backing stream `index`, created on demand (along
-     * with any lower-indexed ones). This is the hook the api-layer
-     * Engine uses to drive streams frame by frame and to install
-     * instrumentation observers; calls must not race with run() or
-     * with tasks touching the same pipeline.
-     */
-    AmcPipeline &pipeline(i64 index) { return pipeline_for(index); }
-
-    /** Pipelines created so far. */
-    i64
-    num_pipelines() const
-    {
-        return static_cast<i64>(pipelines_.size());
-    }
-
-    /** Stream-level worker pool; null when num_threads() == 1. */
-    ThreadPool *pool() { return pool_.get(); }
-
-    /**
-     * True when run() routes frames through StageSchedulers — frame
-     * pipelining (depth > 1), suffix batching, or both — rather than
-     * the strictly serial frame loop. Outputs are bit-identical
-     * either way; this only predicts the execution shape.
-     */
-    bool pipelined() const { return uses_stage_scheduler(); }
-
-    /**
-     * The shared cross-stream suffix batcher, created (with its
-     * BatchedExecutionPlan) on first use; null when suffix batching
-     * is disabled. Not thread-safe against itself — callers (the
-     * Engine under its lock, or the single run() thread) serialize
-     * creation.
-     */
-    SuffixBatcher *suffix_batcher();
-
-    /** Batch occupancy counters; empty stats when disabled. */
-    SuffixBatchStats suffix_batch_stats() const;
-
-  private:
-    /** True when run() routes frames through StageSchedulers. */
-    bool
-    uses_stage_scheduler() const
-    {
-        return opts_.pipeline_depth > 1 || opts_.suffix_batch.enabled;
-    }
-    AmcPipeline &pipeline_for(i64 index);
-    StreamResult run_stream(i64 index, const Sequence &seq);
-
-    /**
-     * Pipelined batch execution: every stream's frames flow through
-     * a StageScheduler; the caller's thread only enqueues and
-     * drains, so pool workers never block on sub-tasks.
-     */
-    void run_pipelined(const std::vector<Sequence> &streams,
-                       BatchResult &batch);
-
-    const Network *net_;
-    StreamExecutorOptions opts_;
-    i64 num_threads_;
-    std::vector<std::unique_ptr<AmcPipeline>> pipelines_;
-    /**
-     * Null when num_threads_ == 1. Declared after pipelines_ so the
-     * pool's workers join before the pipelines they touch die.
-     */
-    std::unique_ptr<ThreadPool> pool_;
-    /**
-     * Suffix-batching machinery, created on demand when enabled.
-     * Declared after pool_ so the batcher (whose destructor waits
-     * out in-flight batches) dies before the pool its batches run
-     * on, and after pipelines_ since the batched plan borrows the
-     * shared network through pipeline 0's compiled suffix.
-     */
-    std::unique_ptr<BatchedExecutionPlan> batched_suffix_;
-    std::unique_ptr<SuffixBatcher> batcher_;
 };
 
 } // namespace eva2

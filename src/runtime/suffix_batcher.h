@@ -48,7 +48,7 @@ namespace eva2 {
 /** Batch-formation policy of a SuffixBatcher. */
 struct SuffixBatchOptions
 {
-    /** Master switch (executor options embed this struct). */
+    /** Master switch (the resolved engine options embed this). */
     bool enabled = false;
     /** Dispatch as soon as this many items are pending (>= 1). */
     i64 max_batch = 8;

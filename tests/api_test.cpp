@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the eva2::Engine serving API: spec parsing and the
- * string-keyed registries, EngineConfig validation, batch runs
- * matching the legacy StreamExecutor bit-for-bit, frame-level Session
- * submission (including incremental feeding split across bursts and
- * concurrent multi-threaded submission), and RunReport structure/JSON.
+ * string-keyed registries, EngineConfig validation, run() matching a
+ * serial reference engine bit-for-bit, frame-level Session submission
+ * (including incremental feeding split across bursts and concurrent
+ * multi-threaded submission), and RunReport structure/JSON.
  *
  * The digest-identity tests are the API's core contract: no matter
- * how frames reach the engine — one batch, several chunked batches,
- * or frame-by-frame session submission from several threads — the
- * outputs must be bit-identical to a serial legacy run.
+ * how frames reach the engine — one run(), several chunked runs, or
+ * frame-by-frame session submission from several threads — the
+ * outputs must be bit-identical to the serial reference (one thread,
+ * no pipelining, no batching).
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "api/registry.h"
 #include "api/run_report.h"
 #include "cnn/model_zoo.h"
-#include "runtime/stream_executor.h"
 #include "util/json.h"
 #include "video/scenarios.h"
 
@@ -262,31 +262,30 @@ struct EngineFixture
         return c;
     }
 
-    StreamExecutorOptions
-    legacy_options() const
+    /** The serial reference: one thread, depth 1, batch off. */
+    EngineConfig
+    serial_config() const
     {
-        StreamExecutorOptions opts;
-        opts.num_threads = 1;
-        opts.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(2);
-        };
-        return opts;
+        EngineConfig c = config(1);
+        c.pipeline_depth = 1;
+        c.batch = "off";
+        return c;
     }
 
     u64
-    legacy_digest()
+    serial_digest()
     {
-        StreamExecutor serial(net, legacy_options());
-        return serial.run(streams).digest();
+        Engine serial(net, serial_config());
+        return serial.run(streams).digest;
     }
 };
 
-TEST(Engine, BatchRunMatchesLegacyExecutorBitForBit)
+TEST(Engine, RunMatchesSerialEngineBitForBit)
 {
     EngineFixture fx;
     Engine engine(fx.net, fx.config(4));
     const RunReport report = engine.run(fx.streams);
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.serial_digest());
     EXPECT_EQ(report.frames, 3 * 4);
     ASSERT_EQ(report.streams.size(), 3u);
     for (const StreamReport &s : report.streams) {
@@ -306,10 +305,58 @@ TEST(Engine, SessionSubmissionMatchesBatchBitForBit)
         engine.session(seq.name).submit_all(seq);
     }
     const RunReport report = engine.report();
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.serial_digest());
     EXPECT_EQ(report.frames, 3 * 4);
     ASSERT_EQ(report.streams.size(), 3u);
     EXPECT_EQ(report.streams[0].name, fx.streams[0].name);
+}
+
+TEST(Engine, RunFeedsNamedSessionsAndReportIncludesThem)
+{
+    EngineFixture fx;
+    Engine engine(fx.net, fx.config(2));
+    const RunReport run = engine.run(fx.streams);
+    // run() feeds the session named after each sequence...
+    ASSERT_EQ(engine.num_sessions(), 3);
+    for (size_t i = 0; i < fx.streams.size(); ++i) {
+        Session *s = engine.find_session(fx.streams[i].name);
+        ASSERT_NE(s, nullptr);
+        EXPECT_EQ(s->index(), static_cast<i64>(i));
+        EXPECT_EQ(run.streams[i].stream_index, s->index());
+    }
+    // ...so the cumulative report covers the frames run() fed.
+    const RunReport report = engine.report();
+    EXPECT_EQ(report.frames, 3 * 4);
+    EXPECT_EQ(report.digest, run.digest);
+
+    // One name per call: a second sequence with the same name would
+    // feed the same session twice.
+    std::vector<Sequence> dup = {fx.streams[0], fx.streams[0]};
+    EXPECT_THROW(engine.run(dup), ConfigError);
+    EXPECT_EQ(engine.report().frames, 3 * 4);
+}
+
+TEST(Engine, SessionCreatedAfterRunStartsFresh)
+{
+    // Regression: run() must not hand its streams' state to sessions
+    // created afterwards. A new session's first frame is a key frame
+    // and its digest equals the same frames on a fresh engine.
+    EngineFixture fx;
+    EngineConfig config = fx.config(2);
+    config.policy = "static:interval=8"; // Frame 4 of a stream predicts.
+    Engine engine(fx.net, config);
+    engine.run(fx.streams);
+
+    Session &fresh = engine.session("new");
+    EXPECT_EQ(fresh.index(), 3);
+    const std::vector<FrameTicket> tickets =
+        fresh.submit_all(fx.streams[0]);
+    EXPECT_TRUE(fresh.wait(tickets[0]).is_key);
+
+    Engine reference(fx.net, config);
+    Session &ref = reference.session("new");
+    ref.submit_all(fx.streams[0]);
+    EXPECT_EQ(fresh.report().digest, ref.report().digest);
 }
 
 TEST(Engine, SerialEngineProcessesInline)
@@ -333,10 +380,10 @@ TEST(Engine, IncrementalFeedingIsBitIdenticalToOneBatch)
     // session state (stored key frame, RLE buffer, policy state)
     // persists across the split.
     EngineFixture fx;
-    const u64 expected = fx.legacy_digest();
+    const u64 expected = fx.serial_digest();
 
     // Two engine.run() calls over chunked sequences: per-chunk
-    // digests must match a legacy executor fed the same chunks, and
+    // digests must match a serial engine fed the same chunks, and
     // stream state must persist across the boundary (each run()
     // restarts the digest chain, so chunks compare chunk-to-chunk).
     {
@@ -354,9 +401,9 @@ TEST(Engine, IncrementalFeedingIsBitIdenticalToOneBatch)
         Engine engine(fx.net, fx.config(2));
         const RunReport r1 = engine.run(first);
         const RunReport r2 = engine.run(second);
-        StreamExecutor legacy(fx.net, fx.legacy_options());
-        EXPECT_EQ(r1.digest, legacy.run(first).digest());
-        EXPECT_EQ(r2.digest, legacy.run(second).digest());
+        Engine serial(fx.net, fx.serial_config());
+        EXPECT_EQ(r1.digest, serial.run(first).digest);
+        EXPECT_EQ(r2.digest, serial.run(second).digest);
         EXPECT_EQ(r1.frames + r2.frames, 3 * 4);
     }
 
@@ -391,11 +438,11 @@ TEST(Engine, IncrementalFeedingIsBitIdenticalToOneBatch)
 TEST(Engine, PerFrameOutcomesMatchBatchRecords)
 {
     EngineFixture fx;
-    // Batch on one engine...
+    // run() on one engine...
     Engine batch_engine(fx.net, fx.config(1));
     const RunReport batch = batch_engine.run(fx.streams);
-    // ...frame-level on another; every outcome must agree with the
-    // batch FrameRecord-equivalents.
+    // ...frame-level on another; the outcomes must chain into the
+    // same stream digest.
     Engine engine(fx.net, fx.config(2));
     Session &cam = engine.session(fx.streams[0].name);
     const std::vector<FrameTicket> tickets =
@@ -437,7 +484,7 @@ TEST(Engine, ConcurrentSubmissionFromManyThreads)
     const RunReport report = engine.report();
     EXPECT_EQ(submitted.load(), 3 * 4);
     EXPECT_EQ(report.frames, 3 * 4);
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.serial_digest());
 }
 
 TEST(Engine, ResetReproducesFirstRun)
@@ -503,9 +550,8 @@ TEST(Engine, ForgetOutcomesBoundsMemoryButKeepsTheChain)
     // ...and stats plus the digest chain survived the trim intact.
     cam.drain();
     EXPECT_EQ(cam.completed(), seq.size());
-    StreamExecutor legacy(fx.net, fx.legacy_options());
-    EXPECT_EQ(cam.report().digest,
-              legacy.run({seq}).streams[0].digest);
+    Engine serial(fx.net, fx.serial_config());
+    EXPECT_EQ(cam.report().digest, serial.run({seq}).streams[0].digest);
 }
 
 TEST(ComponentSpec, RejectsNonFiniteNumbers)

@@ -8,10 +8,9 @@
  */
 #include <gtest/gtest.h>
 
-#include "api/registry.h"
+#include "api/engine.h"
 #include "cnn/model_zoo.h"
 #include "runtime/stage_scheduler.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "video/scenarios.h"
 
@@ -118,11 +117,24 @@ TEST(FramePlan, ForcedPathsMatchFacadeForcedPaths)
                 b.frame_plan().run_suffix(0, arena, nullptr));
 }
 
+/** Engine config matching small_options(), at a given execution shape. */
+EngineConfig
+small_config(const std::string &policy, i64 depth, i64 threads)
+{
+    EngineConfig c;
+    c.policy = policy;
+    c.search_radius = small_options().search_radius;
+    c.num_threads = threads;
+    c.pipeline_depth = depth;
+    return c;
+}
+
 /**
  * The acceptance sweep: for every scenario kind in the multi-stream
  * serving set, every key-frame policy, and both CNN kernels, the
- * pipelined FramePlan path must reproduce the legacy serial frame
- * loop's per-stream digests bit for bit.
+ * pipelined FramePlan path must reproduce the serial reference
+ * engine's (one thread, depth 1, batch off) per-stream digests bit
+ * for bit.
  */
 TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
 {
@@ -143,40 +155,31 @@ TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
         "adaptive_error:th=0.05,max_gap=6",
         "adaptive_motion:th=60,max_gap=6",
     };
-    const std::vector<ConvKernel> kernels = {ConvKernel::kIm2colGemm,
-                                             ConvKernel::kDirect};
+    const std::vector<std::string> kernels = {"gemm", "direct"};
 
     for (const std::string &policy : policies) {
-        for (const ConvKernel kernel : kernels) {
-            auto options = [&](i64 depth, i64 threads) {
-                StreamExecutorOptions o;
-                o.num_threads = threads;
-                o.pipeline_depth = depth;
-                o.amc = small_options();
-                o.amc.plan.conv_kernel = kernel;
-                o.make_policy = [policy](i64) {
-                    return PolicyRegistry::instance().make(policy);
-                };
-                return o;
+        for (const std::string &kernel : kernels) {
+            auto config = [&](i64 depth, i64 threads) {
+                EngineConfig c = small_config(policy, depth, threads);
+                c.kernel = kernel;
+                return c;
             };
-            StreamExecutor serial(net, options(1, 1));
-            StreamExecutor pipelined(net, options(3, 4));
-            const BatchResult a = serial.run(streams);
-            const BatchResult b = pipelined.run(streams);
+            Engine serial(net, config(1, 1));
+            Engine pipelined(net, config(3, 4));
+            const RunReport a = serial.run(streams);
+            const RunReport b = pipelined.run(streams);
             ASSERT_EQ(a.streams.size(), b.streams.size());
             for (size_t i = 0; i < a.streams.size(); ++i) {
                 EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
-                    << "policy " << policy << ", kernel "
-                    << conv_kernel_name(kernel) << ", stream "
-                    << a.streams[i].name;
-                EXPECT_EQ(a.streams[i].stats.key_frames,
-                          b.streams[i].stats.key_frames);
+                    << "policy " << policy << ", kernel " << kernel
+                    << ", stream " << a.streams[i].name;
+                EXPECT_EQ(a.streams[i].key_frames,
+                          b.streams[i].key_frames);
                 EXPECT_EQ(a.streams[i].me_add_ops,
                           b.streams[i].me_add_ops);
             }
-            EXPECT_EQ(a.digest(), b.digest())
-                << "policy " << policy << ", kernel "
-                << conv_kernel_name(kernel);
+            EXPECT_EQ(a.digest, b.digest)
+                << "policy " << policy << ", kernel " << kernel;
         }
     }
 }
@@ -192,21 +195,52 @@ TEST(FramePlanSweep, MemoizationModeMatchesToo)
         classification_test_set(/*seed=*/11, /*num_sequences=*/2,
                                 /*frames_per_sequence=*/4,
                                 /*size=*/96);
-    auto options = [&](i64 depth, i64 threads) {
-        StreamExecutorOptions o;
-        o.num_threads = threads;
-        o.pipeline_depth = depth;
-        o.amc = small_options();
-        o.amc.motion_mode = MotionMode::kMemoization;
-        o.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(3);
-        };
-        return o;
+    auto config = [&](i64 depth, i64 threads) {
+        EngineConfig c = small_config("static:interval=3", depth, threads);
+        c.motion = "memoization";
+        return c;
     };
-    StreamExecutor serial(net, options(1, 1));
-    StreamExecutor pipelined(net, options(3, 4));
-    EXPECT_EQ(serial.run(streams).digest(),
-              pipelined.run(streams).digest());
+    Engine serial(net, config(1, 1));
+    Engine pipelined(net, config(3, 4));
+    EXPECT_EQ(serial.run(streams).digest, pipelined.run(streams).digest);
+}
+
+/**
+ * Warm one inline session up (key frame, slot/workspace growth), then
+ * count tensor-buffer allocations while it serves six more frames.
+ * The frames are copied before the snapshot and moved in, so
+ * ingestion itself allocates nothing; `keys` receives how many of
+ * the six were key frames.
+ */
+u64
+steady_state_allocations(const EngineConfig &config, i64 *keys)
+{
+    Network net = build_scaled(alexnet_spec(), [] {
+        ScaledBuildOptions o;
+        o.input = Shape{1, 96, 96};
+        return o;
+    }());
+    Engine engine(net, config);
+    const Sequence warmup = multi_stream_set(/*seed=*/13, 1, 3, 96)[0];
+    const Sequence steady = multi_stream_set(/*seed=*/13, 1, 6, 96)[0];
+    Session &cam = engine.session(steady.name);
+    cam.submit_all(warmup);
+    const StreamReport warm = cam.report();
+
+    std::vector<Tensor> frames;
+    for (const LabeledFrame &f : steady.frames) {
+        frames.push_back(f.image);
+    }
+    const u64 before = Tensor::buffer_allocations();
+    for (Tensor &frame : frames) {
+        cam.submit(std::move(frame));
+    }
+    cam.drain();
+    const u64 after = Tensor::buffer_allocations();
+    const StreamReport row = cam.report();
+    EXPECT_EQ(row.frames - warm.frames, 6);
+    *keys = row.key_frames - warm.key_frames;
+    return after - before;
 }
 
 /**
@@ -216,35 +250,14 @@ TEST(FramePlanSweep, MemoizationModeMatchesToo)
  */
 TEST(FramePlanAllocation, SteadyStatePredictedFramesAllocateNothing)
 {
-    Network net = build_scaled(alexnet_spec(), [] {
-        ScaledBuildOptions o;
-        o.input = Shape{1, 96, 96};
-        return o;
-    }());
     // A huge static interval: after the first key frame, everything
-    // is a predicted frame.
-    StreamExecutorOptions opts;
-    opts.num_threads = 1; // Inline: the global counter stays ours.
-    opts.pipeline_depth = 3;
-    opts.amc = small_options();
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    StreamExecutor exec(net, opts);
-
-    const std::vector<Sequence> warmup =
-        multi_stream_set(/*seed=*/13, 1, 3, 96);
-    const std::vector<Sequence> steady =
-        multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup); // Key frame + slot/workspace growth.
-
-    const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
-    const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
-        << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(batch.total_frames(), 6);
-    EXPECT_EQ(after - before, 0u)
+    // is a predicted frame. One thread: inline, so the global counter
+    // stays ours.
+    i64 keys = -1;
+    const u64 allocations = steady_state_allocations(
+        small_config("static:interval=1000", 3, 1), &keys);
+    EXPECT_EQ(keys, 0) << "steady-state run unexpectedly re-keyed";
+    EXPECT_EQ(allocations, 0u)
         << "predicted frames allocated tensor buffers";
 }
 
@@ -255,33 +268,12 @@ TEST(FramePlanAllocation, SteadyStatePredictedFramesAllocateNothing)
  */
 TEST(FramePlanAllocation, SteadyStateMemoizedFramesAllocateNothing)
 {
-    Network net = build_scaled(alexnet_spec(), [] {
-        ScaledBuildOptions o;
-        o.input = Shape{1, 96, 96};
-        return o;
-    }());
-    StreamExecutorOptions opts;
-    opts.num_threads = 1;
-    opts.pipeline_depth = 3;
-    opts.amc = small_options();
-    opts.amc.motion_mode = MotionMode::kMemoization;
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    StreamExecutor exec(net, opts);
-
-    const std::vector<Sequence> warmup =
-        multi_stream_set(/*seed=*/13, 1, 3, 96);
-    const std::vector<Sequence> steady =
-        multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup);
-
-    const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
-    const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
-        << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(after - before, 0u)
+    EngineConfig config = small_config("static:interval=1000", 3, 1);
+    config.motion = "memoization";
+    i64 keys = -1;
+    const u64 allocations = steady_state_allocations(config, &keys);
+    EXPECT_EQ(keys, 0) << "steady-state run unexpectedly re-keyed";
+    EXPECT_EQ(allocations, 0u)
         << "memoized frames deep-copied the stored activation";
 }
 

@@ -386,17 +386,84 @@ TEST(ResidentTier, HibernateHydrateDigestIdentityAcrossConfigs)
 
 TEST(ResidentTier, BatchRunHydratesAndMatchesBudgetlessDigest)
 {
-    // Engine::run drives pipelines below the session layer, so it
-    // must hydrate hibernated sessions up front; a batch after a
-    // session-mode phase that hibernated everything still matches.
+    // run() feeds sessions, which hydrate on submit: a run() after a
+    // session-mode phase that hibernated every proto stream still
+    // matches the budget-less engine doing the same work.
     ResidentFixture fx;
-    EngineConfig config = fx.config("budget_mb:1,hibernate=on");
+    const i64 per = fx.probe_session_bytes();
+    const i64 fillers = 1LL * 1024 * 1024 / per + 3;
+    std::vector<Sequence> first, second;
+    for (const Sequence &seq : fx.protos) {
+        Sequence a, b;
+        a.name = b.name = seq.name;
+        for (i64 i = 0; i < seq.size(); ++i) {
+            ((i < seq.size() / 2) ? a : b).frames.push_back(seq[i]);
+        }
+        first.push_back(std::move(a));
+        second.push_back(std::move(b));
+    }
+    // Session phase: the protos' first halves, then enough filler
+    // sessions to push the (now idle, least recently used) protos
+    // out of the budget.
+    auto session_phase = [&](Engine &engine) {
+        for (const Sequence &seq : first) {
+            engine.session(seq.name).submit_all(seq);
+        }
+        for (i64 i = 0; i < fillers; ++i) {
+            engine.session("filler" + std::to_string(i))
+                .submit_all(fx.protos[i % fx.protos.size()]);
+        }
+        engine.flush();
+    };
 
     Engine off(fx.net, fx.config("off"));
-    const u64 expected = off.run(fx.protos).digest;
+    session_phase(off);
+    const u64 expected = off.run(second).digest;
 
-    Engine engine(fx.net, config);
-    EXPECT_EQ(engine.run(fx.protos).digest, expected);
+    Engine engine(fx.net, fx.config("budget_mb:1,hibernate=on"));
+    session_phase(engine);
+    const ResidentSetManager *mgr = engine.resident_manager();
+    for (const Sequence &seq : first) {
+        EXPECT_GE(mgr->hibernation_count(
+                      engine.find_session(seq.name)->index()),
+                  1)
+            << seq.name << " was not hibernated";
+    }
+    const i64 hydrations_before = mgr->stats().hydrations;
+    EXPECT_EQ(engine.run(second).digest, expected);
+    // Only the sessions run() feeds wake up, not the idle fillers.
+    EXPECT_EQ(mgr->stats().hydrations - hydrations_before,
+              static_cast<i64>(second.size()));
+}
+
+TEST(ResidentTier, RunEnforcesTheBudget)
+{
+    // Regression: run() must go through the same memory accounting
+    // as session submission — every stream tracked, LRU hibernation
+    // under the budget, digests unchanged.
+    ResidentFixture fx;
+    std::vector<Sequence> streams =
+        multi_stream_set(/*seed=*/41, /*num_streams=*/16,
+                         /*frames_per_stream=*/4);
+    for (Sequence &seq : streams) {
+        for (LabeledFrame &frame : seq.frames) {
+            frame.image = quantize_q88(frame.image);
+        }
+    }
+    const i64 budget = 1LL * 1024 * 1024;
+
+    Engine off(fx.net, fx.config("off"));
+    const u64 expected = off.run(streams).digest;
+
+    Engine engine(fx.net, fx.config("budget_mb:1,hibernate=on"));
+    const RunReport report = engine.run(streams);
+    EXPECT_EQ(report.digest, expected);
+    const MemoryStats stats = engine.resident_manager()->stats();
+    EXPECT_EQ(stats.sessions_tracked, 16);
+    EXPECT_GT(stats.hibernations, 0);
+    EXPECT_LE(stats.resident_bytes, budget);
+    EXPECT_FALSE(engine.memory_pressure());
+    EXPECT_EQ(report.memory.sessions_tracked, 16);
 }
 
 TEST(ResidentTier, ResetForgetsTrackedSessions)

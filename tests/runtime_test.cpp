@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the parallel runtime: ThreadPool task completion and
  * exception propagation, ParallelFor edge cases and determinism, and
- * StreamExecutor serial-vs-parallel bit-identical outputs.
+ * Engine serial-vs-parallel bit-identical outputs.
  *
  * Pools are constructed with explicit thread counts so the parallel
  * code paths are exercised even on single-core CI machines.
@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "api/engine.h"
 #include "cnn/model_zoo.h"
 #include "runtime/parallel_for.h"
 #include "runtime/stream_executor.h"
@@ -174,139 +175,173 @@ struct StreamFixture
     {
     }
 
-    StreamExecutorOptions
-    options(i64 threads) const
+    EngineConfig
+    config(i64 threads, i64 depth) const
     {
-        StreamExecutorOptions opts;
-        opts.num_threads = threads;
-        opts.store_outputs = true;
-        opts.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(2);
-        };
-        return opts;
+        EngineConfig c;
+        c.policy = "static:interval=2";
+        c.num_threads = threads;
+        c.pipeline_depth = depth;
+        c.store_outputs = true;
+        return c;
     }
+
+    /** The serial reference: one thread, depth 1, batch off. */
+    EngineConfig serial_config() const { return config(1, 1); }
 };
 
-TEST(StreamExecutor, ParallelOutputsBitIdenticalToSerial)
+/** Everything an engine's sessions produced for a set of streams. */
+struct Served
+{
+    RunReport report;
+    std::vector<std::vector<FrameOutcome>> outcomes;
+    std::vector<std::vector<Tensor>> outputs;
+};
+
+/** Feed each stream to its own session, drain, and collect. */
+Served
+serve(Engine &engine, const std::vector<Sequence> &streams)
+{
+    std::vector<std::vector<FrameTicket>> tickets;
+    for (const Sequence &seq : streams) {
+        tickets.push_back(engine.session(seq.name).submit_all(seq));
+    }
+    engine.flush();
+    Served out;
+    for (size_t i = 0; i < streams.size(); ++i) {
+        Session &s = engine.session(streams[i].name);
+        out.outcomes.emplace_back();
+        for (const FrameTicket &t : tickets[i]) {
+            out.outcomes.back().push_back(s.wait(t));
+        }
+        out.outputs.push_back(s.outputs());
+    }
+    out.report = engine.report();
+    return out;
+}
+
+TEST(EngineStreams, ParallelOutputsBitIdenticalToSerial)
 {
     StreamFixture fx;
-    StreamExecutor serial(fx.net, fx.options(1));
-    StreamExecutor parallel(fx.net, fx.options(4));
+    Engine serial(fx.net, fx.serial_config());
+    Engine parallel(fx.net, fx.config(4, 3));
 
-    const BatchResult a = serial.run(fx.streams);
-    const BatchResult b = parallel.run(fx.streams);
+    const Served a = serve(serial, fx.streams);
+    const Served b = serve(parallel, fx.streams);
 
-    ASSERT_EQ(a.streams.size(), fx.streams.size());
-    ASSERT_EQ(b.streams.size(), fx.streams.size());
-    EXPECT_EQ(a.digest(), b.digest());
-    for (size_t i = 0; i < a.streams.size(); ++i) {
-        const StreamResult &sa = a.streams[i];
-        const StreamResult &sb = b.streams[i];
+    ASSERT_EQ(a.report.streams.size(), fx.streams.size());
+    ASSERT_EQ(b.report.streams.size(), fx.streams.size());
+    EXPECT_EQ(a.report.digest, b.report.digest);
+    for (size_t i = 0; i < fx.streams.size(); ++i) {
+        const StreamReport &sa = a.report.streams[i];
+        const StreamReport &sb = b.report.streams[i];
         EXPECT_EQ(sa.name, sb.name);
-        EXPECT_EQ(sa.stats.frames, sb.stats.frames);
-        EXPECT_EQ(sa.stats.key_frames, sb.stats.key_frames);
+        EXPECT_EQ(sa.frames, sb.frames);
+        EXPECT_EQ(sa.key_frames, sb.key_frames);
         EXPECT_EQ(sa.me_add_ops, sb.me_add_ops);
-        ASSERT_EQ(sa.frames.size(), sb.frames.size());
-        for (size_t f = 0; f < sa.frames.size(); ++f) {
-            EXPECT_EQ(sa.frames[f].is_key, sb.frames[f].is_key);
-            EXPECT_EQ(sa.frames[f].top1, sb.frames[f].top1);
-            EXPECT_EQ(sa.frames[f].output_digest,
-                      sb.frames[f].output_digest);
+        ASSERT_EQ(a.outcomes[i].size(), b.outcomes[i].size());
+        for (size_t f = 0; f < a.outcomes[i].size(); ++f) {
+            EXPECT_EQ(a.outcomes[i][f].is_key, b.outcomes[i][f].is_key);
+            EXPECT_EQ(a.outcomes[i][f].top1, b.outcomes[i][f].top1);
+            EXPECT_EQ(a.outcomes[i][f].output_digest,
+                      b.outcomes[i][f].output_digest);
         }
-        ASSERT_EQ(sa.outputs.size(), sb.outputs.size());
-        for (size_t f = 0; f < sa.outputs.size(); ++f) {
-            EXPECT_TRUE(sa.outputs[f] == sb.outputs[f])
+        ASSERT_EQ(a.outputs[i].size(), fx.streams[i].frames.size());
+        ASSERT_EQ(a.outputs[i].size(), b.outputs[i].size());
+        for (size_t f = 0; f < a.outputs[i].size(); ++f) {
+            EXPECT_TRUE(a.outputs[i][f] == b.outputs[i][f])
                 << "stream " << i << " frame " << f;
         }
     }
 }
 
-TEST(StreamExecutor, AggregationMatchesPerStreamStats)
+TEST(EngineStreams, AggregationMatchesPerStreamStats)
 {
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(2));
-    const BatchResult batch = exec.run(fx.streams);
+    Engine engine(fx.net, fx.config(2, 1));
+    const RunReport report = engine.run(fx.streams);
 
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    EXPECT_EQ(report.frames, 3 * 4);
     i64 keys = 0;
-    for (const StreamResult &s : batch.streams) {
-        EXPECT_EQ(s.stats.frames, 4);
-        EXPECT_GE(s.stats.key_frames, 1); // First frame is always key.
-        keys += s.stats.key_frames;
+    for (const StreamReport &s : report.streams) {
+        EXPECT_EQ(s.frames, 4);
+        EXPECT_GE(s.key_frames, 1); // First frame is always key.
+        keys += s.key_frames;
     }
-    EXPECT_EQ(batch.total_key_frames(), keys);
-    EXPECT_GT(batch.key_fraction(), 0.0);
-    EXPECT_LE(batch.key_fraction(), 1.0);
-    EXPECT_EQ(batch.labels().size(), static_cast<size_t>(12));
-    EXPECT_GT(batch.wall_ms, 0.0);
-    EXPECT_GT(batch.frames_per_second(), 0.0);
-
-    const double acc = batch_top1_accuracy(batch, fx.streams);
-    EXPECT_GE(acc, 0.0);
-    EXPECT_LE(acc, 1.0);
+    EXPECT_EQ(report.key_frames, keys);
+    EXPECT_GT(report.key_fraction(), 0.0);
+    EXPECT_LE(report.key_fraction(), 1.0);
+    EXPECT_GT(report.wall_ms, 0.0);
+    EXPECT_GT(report.frames_per_second(), 0.0);
 }
 
-TEST(StreamExecutor, StatePersistsAcrossRunsAndResets)
+TEST(EngineStreams, StatePersistsAcrossRunsAndResets)
 {
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(1));
-    const BatchResult first = exec.run(fx.streams);
-    // Pipelines keep their key frames, so a second pass over the same
-    // frames needs no initial key frame; stats report only the run's
-    // delta.
-    const BatchResult second = exec.run(fx.streams);
-    EXPECT_EQ(first.total_frames(), second.total_frames());
-    for (const StreamResult &s : second.streams) {
-        EXPECT_EQ(s.stats.frames, 4);
+    Engine engine(fx.net, fx.serial_config());
+    const RunReport first = engine.run(fx.streams);
+    // Sessions keep their key frames, so a second pass over the same
+    // frames needs no initial key frame; the report covers only the
+    // run's own frames.
+    const RunReport second = engine.run(fx.streams);
+    EXPECT_EQ(first.frames, second.frames);
+    for (const StreamReport &s : second.streams) {
+        EXPECT_EQ(s.frames, 4);
     }
 
-    // After a reset the executor reproduces the first run exactly.
-    exec.reset_streams();
-    const BatchResult again = exec.run(fx.streams);
-    EXPECT_EQ(first.digest(), again.digest());
+    // After a reset the engine reproduces the first run exactly.
+    engine.reset();
+    const RunReport again = engine.run(fx.streams);
+    EXPECT_EQ(first.digest, again.digest);
 }
 
-TEST(StreamExecutor, StreamFailurePropagatesWithoutCrashing)
+/**
+ * A stream whose frames don't match the network input is rejected at
+ * submit; run() must surface that only after draining every frame it
+ * already submitted (no work may outlive the call), and the engine
+ * must work again after a reset.
+ */
+void
+expect_failure_drains_and_recovers(i64 depth)
 {
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(4));
-    // A stream whose frames don't match the network input makes its
-    // pipeline throw; run() must surface that after every in-flight
-    // stream task has finished (no use-after-free of streams or
-    // pipelines), and the executor must stay usable.
+    Engine engine(fx.net, fx.config(4, depth));
     std::vector<Sequence> bad = fx.streams;
     bad[1].frames[0].image = Tensor(1, 8, 8);
-    EXPECT_THROW(exec.run(bad), ConfigError);
-    exec.reset_streams();
-    const BatchResult batch = exec.run(fx.streams);
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    EXPECT_THROW(engine.run(bad), ConfigError);
+    EXPECT_EQ(engine.in_flight(), 0);
+    EXPECT_EQ(engine.session(fx.streams[0].name).completed(), 4);
+    engine.reset();
+    const RunReport report = engine.run(fx.streams);
+    EXPECT_EQ(report.frames, 3 * 4);
 }
 
-TEST(StreamExecutor, PipelinedFramesBitIdenticalAcrossDepthsAndPools)
+TEST(EngineStreams, StreamFailurePropagatesWithoutCrashing)
+{
+    expect_failure_drains_and_recovers(/*depth=*/1);
+}
+
+TEST(EngineStreams, PipelinedFramesBitIdenticalAcrossDepthsAndPools)
 {
     // The stage scheduler's pipelined execution (fronts serialized,
     // suffixes fanned out, commits in order) must be bit-identical
-    // to the legacy serial frame loop for every depth/pool shape.
-    // Run under TSan in CI, this is also the data-race gate for the
+    // to the serial reference for every depth/pool shape. Run under
+    // TSan in CI, this is also the data-race gate for the
     // scheduler's synchronization.
     StreamFixture fx;
-    StreamExecutorOptions serial_opts = fx.options(1);
-    serial_opts.pipeline_depth = 1;
-    StreamExecutor serial(fx.net, serial_opts);
-    const BatchResult reference = serial.run(fx.streams);
+    Engine serial(fx.net, fx.serial_config());
+    const RunReport reference = serial.run(fx.streams);
 
     for (const i64 depth : {2, 3, 5}) {
         for (const i64 threads : {1, 2, 4}) {
-            StreamExecutorOptions opts = fx.options(threads);
-            opts.pipeline_depth = depth;
-            StreamExecutor pipelined(fx.net, opts);
-            const BatchResult got = pipelined.run(fx.streams);
-            EXPECT_EQ(got.digest(), reference.digest())
+            Engine pipelined(fx.net, fx.config(threads, depth));
+            const RunReport got = pipelined.run(fx.streams);
+            EXPECT_EQ(got.digest, reference.digest)
                 << "depth " << depth << ", threads " << threads;
             ASSERT_EQ(got.streams.size(), reference.streams.size());
             for (size_t i = 0; i < got.streams.size(); ++i) {
-                EXPECT_EQ(got.streams[i].frames.size(),
-                          reference.streams[i].frames.size());
+                EXPECT_EQ(got.streams[i].frames,
+                          reference.streams[i].frames);
                 EXPECT_EQ(got.streams[i].me_add_ops,
                           reference.streams[i].me_add_ops);
             }
@@ -314,18 +349,9 @@ TEST(StreamExecutor, PipelinedFramesBitIdenticalAcrossDepthsAndPools)
     }
 }
 
-TEST(StreamExecutor, PipelinedFailurePropagatesAndExecutorRecovers)
+TEST(EngineStreams, PipelinedFailurePropagatesAndEngineRecovers)
 {
-    StreamFixture fx;
-    StreamExecutorOptions opts = fx.options(4);
-    opts.pipeline_depth = 3;
-    StreamExecutor exec(fx.net, opts);
-    std::vector<Sequence> bad = fx.streams;
-    bad[1].frames[0].image = Tensor(1, 8, 8);
-    EXPECT_THROW(exec.run(bad), ConfigError);
-    exec.reset_streams();
-    const BatchResult batch = exec.run(fx.streams);
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    expect_failure_drains_and_recovers(/*depth=*/3);
 }
 
 TEST(TensorDigest, SensitiveToValuesAndShape)

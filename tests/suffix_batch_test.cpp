@@ -302,20 +302,25 @@ TEST(SuffixBatcher, InlineModeRunsBatchOfOne)
 }
 
 // --------------------------------------------------------------------
-// Executor-level digest identity
+// Engine-level digest identity
 
-AmcOptions
-small_amc()
+/** A small-search engine config at a given execution shape. */
+EngineConfig
+small_config(const std::string &batch, i64 threads, i64 depth)
 {
-    AmcOptions opts;
-    opts.search_radius = 10;
-    return opts;
+    EngineConfig c;
+    c.search_radius = 10;
+    c.batch = batch;
+    c.num_threads = threads;
+    c.pipeline_depth = depth;
+    return c;
 }
 
 /**
  * The acceptance sweep: per-stream digests with suffix batching are
- * bit-identical to unbatched execution for every scenario kind in
- * the serving set, every policy, and both CNN kernels.
+ * bit-identical to the serial reference engine (one thread, depth 1,
+ * batch off) for every scenario kind in the serving set, every
+ * policy, and both CNN kernels.
  */
 TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
 {
@@ -328,38 +333,28 @@ TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
         "static:interval=3",
         "adaptive_error:th=0.05,max_gap=6",
     };
-    const std::vector<ConvKernel> kernels = {ConvKernel::kIm2colGemm,
-                                             ConvKernel::kDirect};
+    const std::vector<std::string> kernels = {"gemm", "direct"};
     for (const std::string &policy : policies) {
-        for (const ConvKernel kernel : kernels) {
-            auto options = [&](bool batch, i64 threads) {
-                StreamExecutorOptions o;
-                o.num_threads = threads;
-                o.pipeline_depth = 3;
-                o.amc = small_amc();
-                o.amc.plan.conv_kernel = kernel;
-                o.make_policy = [policy](i64) {
-                    return PolicyRegistry::instance().make(policy);
-                };
-                o.suffix_batch.enabled = batch;
-                o.suffix_batch.max_batch = 4;
-                o.suffix_batch.max_delay_us = 200;
-                return o;
+        for (const std::string &kernel : kernels) {
+            auto config = [&](const std::string &batch, i64 threads,
+                              i64 depth) {
+                EngineConfig c = small_config(batch, threads, depth);
+                c.policy = policy;
+                c.kernel = kernel;
+                return c;
             };
-            StreamExecutor serial(net, options(false, 1));
-            StreamExecutor batched(net, options(true, 4));
-            const BatchResult a = serial.run(streams);
-            const BatchResult b = batched.run(streams);
+            Engine serial(net, config("off", 1, 1));
+            Engine batched(net,
+                           config("auto:max=4,delay_us=200", 4, 3));
+            const RunReport a = serial.run(streams);
+            const RunReport b = batched.run(streams);
             ASSERT_EQ(a.streams.size(), b.streams.size());
             for (size_t i = 0; i < a.streams.size(); ++i) {
                 EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
-                    << "policy " << policy << ", kernel "
-                    << conv_kernel_name(kernel) << ", stream "
-                    << a.streams[i].name;
+                    << "policy " << policy << ", kernel " << kernel
+                    << ", stream " << a.streams[i].name;
             }
-            const SuffixBatchStats stats =
-                batched.suffix_batch_stats();
-            EXPECT_EQ(stats.items,
+            EXPECT_EQ(b.batching.items,
                       static_cast<i64>(streams.size()) * 4)
                 << "every suffix must route through the batcher";
         }
@@ -373,20 +368,10 @@ TEST(SuffixBatchSweep, DepthOneStillBatchesAcrossStreams)
     const std::vector<Sequence> streams =
         multi_stream_set(/*seed=*/9, /*num_streams=*/4,
                          /*frames_per_stream=*/3, /*size=*/96);
-    auto options = [&](bool batch, i64 threads, i64 depth) {
-        StreamExecutorOptions o;
-        o.num_threads = threads;
-        o.pipeline_depth = depth;
-        o.amc = small_amc();
-        o.suffix_batch.enabled = batch;
-        o.suffix_batch.max_batch = 4;
-        return o;
-    };
-    StreamExecutor serial(net, options(false, 1, 1));
-    StreamExecutor batched(net, options(true, 4, 1));
-    EXPECT_EQ(serial.run(streams).digest(),
-              batched.run(streams).digest());
-    EXPECT_EQ(batched.suffix_batch_stats().items,
+    Engine serial(net, small_config("off", 1, 1));
+    Engine batched(net, small_config("auto:max=4", 4, 1));
+    EXPECT_EQ(serial.run(streams).digest, batched.run(streams).digest);
+    EXPECT_EQ(batched.report().batching.items,
               static_cast<i64>(streams.size()) * 3);
 }
 
@@ -533,29 +518,35 @@ TEST(EngineBatch, ResetThenResubmitWorks)
 TEST(EngineBatch, SteadyStatePredictedFramesAllocateNothing)
 {
     Network net = small_net();
-    StreamExecutorOptions opts;
-    opts.num_threads = 1; // Inline: the global counter stays ours.
-    opts.pipeline_depth = 3;
-    opts.amc = small_amc();
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    opts.suffix_batch.enabled = true;
-    opts.suffix_batch.max_batch = 4;
-    StreamExecutor exec(net, opts);
+    // One thread: inline, so the global counter stays ours. A huge
+    // static interval: after the first key frame, everything is a
+    // predicted frame.
+    EngineConfig config = small_config("auto:max=4", 1, 3);
+    config.policy = "static:interval=1000";
+    Engine engine(net, config);
 
-    const std::vector<Sequence> warmup =
-        multi_stream_set(/*seed=*/13, 1, 3, 96);
-    const std::vector<Sequence> steady =
-        multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup); // Key frame + slot/arena growth.
+    const Sequence warmup = multi_stream_set(/*seed=*/13, 1, 3, 96)[0];
+    const Sequence steady = multi_stream_set(/*seed=*/13, 1, 6, 96)[0];
+    Session &cam = engine.session(steady.name);
+    cam.submit_all(warmup); // Key frame + slot/arena growth.
+    const StreamReport warm = cam.report();
 
+    // Copied before the snapshot and moved in: ingestion itself
+    // allocates nothing.
+    std::vector<Tensor> frames;
+    for (const LabeledFrame &f : steady.frames) {
+        frames.push_back(f.image);
+    }
     const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
+    for (Tensor &frame : frames) {
+        cam.submit(std::move(frame));
+    }
+    cam.drain();
     const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
+    const StreamReport row = cam.report();
+    EXPECT_EQ(row.key_frames - warm.key_frames, 0)
         << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(batch.total_frames(), 6);
+    EXPECT_EQ(row.frames - warm.frames, 6);
     EXPECT_EQ(after - before, 0u)
         << "batched predicted frames allocated tensor buffers";
 }
