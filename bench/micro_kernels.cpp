@@ -426,11 +426,11 @@ void
 rfbme_tile_row_bench(benchmark::State &state, i64 s, bool simd)
 {
     // The interior-dominated producer kernel itself: full tile rows
-    // on a 192px-wide frame, no border clipping — the workload
-    // `tune_rfbme_tile` races and the shape the SIMD >= 2x CI gate
-    // holds. End-to-end rfbme/<variant>/<shape> rows above dilute the
-    // kernel with the shared (variant-independent) prefix-sum and
-    // min-search stages.
+    // on a 192px-wide frame, no border clipping — the shape the
+    // SIMD >= 2x CI gate holds, which is why FramePlan selects the
+    // SIMD producer by default. End-to-end rfbme/<variant>/<shape>
+    // rows above dilute the kernel with the shared
+    // (variant-independent) prefix-sum and min-search stages.
     const i64 w = 192;
     const i64 tiles = w / s;
     const i64 rows = 64;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "flow/rfbme.h"
-#include "flow/sad_kernels.h"
 #include "util/rng.h"
 
 namespace eva2 {
@@ -247,51 +245,6 @@ tune_fc_simd(i64 in_dim, i64 out_dim, i64 budget_us)
     return KernelTuner::instance()
                .pick(key, candidates, budget_us)
                .id == 1;
-}
-
-RfbmeVariant
-tune_rfbme_tile(i64 rf_stride, i64 budget_us)
-{
-    if (!simd_supported()) {
-        return RfbmeVariant::kScalar;
-    }
-    const i64 s = std::max<i64>(rf_stride, 1);
-    // Synthetic interior tile rows at the real tile width: enough
-    // adjacent tiles that the row kernel dominates the call, folded
-    // over several rows like the producer does.
-    const i64 tiles = std::max<i64>(1, 4096 / s);
-    const i64 n = tiles * s;
-    const i64 rows = 16;
-    const std::string key = "rfbme_tile/" + std::to_string(s) + "x" +
-                            std::to_string(s);
-
-    std::vector<float> a(static_cast<size_t>(n * rows));
-    std::vector<float> b(static_cast<size_t>(n * rows));
-    std::vector<double> acc(static_cast<size_t>(tiles), 0.0);
-    fill_uniform(a, 37);
-    fill_uniform(b, 41);
-
-    std::vector<TuneCandidate> candidates(2);
-    candidates[0].name = rfbme_variant_name(RfbmeVariant::kScalar);
-    candidates[0].id = static_cast<i64>(RfbmeVariant::kScalar);
-    candidates[0].run = [&a, &b, &acc, tiles, s, n, rows]() {
-        for (i64 r = 0; r < rows; ++r) {
-            sad_tile_row(a.data() + r * n, b.data() + r * n, tiles, s,
-                         acc.data());
-        }
-        consume(static_cast<float>(acc[0]));
-    };
-    candidates[1].name = rfbme_variant_name(RfbmeVariant::kSimd);
-    candidates[1].id = static_cast<i64>(RfbmeVariant::kSimd);
-    candidates[1].run = [&a, &b, &acc, tiles, s, n, rows]() {
-        for (i64 r = 0; r < rows; ++r) {
-            sad_tile_row_simd(a.data() + r * n, b.data() + r * n,
-                              tiles, s, acc.data());
-        }
-        consume(static_cast<float>(acc[0]));
-    };
-    return static_cast<RfbmeVariant>(
-        KernelTuner::instance().pick(key, candidates, budget_us).id);
 }
 
 } // namespace eva2

@@ -35,8 +35,6 @@
 
 namespace eva2 {
 
-enum class RfbmeVariant : i64; // flow/rfbme.h
-
 /** One candidate implementation in a tuning contest. */
 struct TuneCandidate
 {
@@ -106,17 +104,6 @@ GemmVariant tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
  * FC shape. False when SIMD is unsupported.
  */
 bool tune_fc_simd(i64 in_dim, i64 out_dim, i64 budget_us);
-
-/**
- * Tuned RFBME diff-tile producer for tile width `rf_stride` (the
- * contest key is `rfbme_tile/<s>x<s>`): kScalar when SIMD is
- * unsupported, otherwise whichever of the scalar and SIMD
- * fixed-stripe SAD row kernels wins on a synthetic interior tile-row
- * workload of the real tile width. The variants are bit-exact
- * (flow/sad_kernels.h), so the pick affects time only, never output
- * — no divergence gate needed.
- */
-RfbmeVariant tune_rfbme_tile(i64 rf_stride, i64 budget_us);
 
 } // namespace eva2
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cnn/kernel_tuner.h"
+#include "simd/simd_kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace eva2 {
@@ -95,21 +95,19 @@ FramePlan::FramePlan(const Network &net,
     rfbme_config_.rf_pad = target_rf_.pad;
     rfbme_config_.search_radius = opts.search_radius;
     rfbme_config_.search_stride = opts.search_stride;
-    if (opts_.plan.tune) {
-        // Race the diff-tile producers at plan-compile time like the
-        // conv/FC kernels. The variants are bit-identical, so the
-        // pick never perturbs digests or the add_ops account.
-        rfbme_config_.variant = tune_rfbme_tile(
-            rfbme_config_.rf_stride, opts_.plan.tune_budget_us);
-    }
+    // The SIMD diff-tile producer is bit-identical to the scalar
+    // oracle and CI holds it at >= 2x scalar, so every kernel spec
+    // runs it wherever the CPU has it, without a tuner contest.
+    rfbme_config_.variant = simd_supported() ? RfbmeVariant::kSimd
+                                             : RfbmeVariant::kScalar;
 }
 
 std::vector<PlanRecord>
 FramePlan::plan_records() const
 {
     // The motion front end reports its compiled kernel choice like
-    // the CNN steps do: one step whose kernel is the tuner contest
-    // key and whose variant is the raced winner.
+    // the CNN steps do: one step whose kernel names the diff-tile
+    // width and whose variant is the tile producer in use.
     const Shape in = net_->input_shape();
     PlanStepInfo me;
     me.layer_index = -1;
@@ -477,20 +475,31 @@ FramePlan::run_front(const Tensor &frame, i64 slot,
         return result;
     }
     ++frames_since_key_;
-    motion_stage(frame, obs);
+    // Motion estimation runs only when its result is read: by a
+    // policy that needs features, or by the compensation warp.
+    // Scheduled keys and scheduled memoized predictions skip it (and
+    // the policy) and report zero features and add ops.
+    const FrameSchedule schedule = policy_->schedule(frames_since_key_);
+    const bool run_me =
+        schedule == FrameSchedule::kNeedFeatures ||
+        (schedule == FrameSchedule::kPredict &&
+         opts_.motion_mode == MotionMode::kCompensation);
     FrameFeatures features;
-    features.match_error = me_.mean_error;
-    features.motion_magnitude = me_.field.total_magnitude();
     features.frames_since_key = frames_since_key_;
-    bool is_key;
-    {
+    if (run_me) {
+        motion_stage(frame, obs);
+        features.match_error = me_.mean_error;
+        features.motion_magnitude = me_.field.total_magnitude();
+    }
+    bool is_key = schedule == FrameSchedule::kKey;
+    if (schedule == FrameSchedule::kNeedFeatures) {
         StageScope timer(obs, AmcStage::kPolicy);
         is_key = policy_->is_key_frame(features);
     }
     FrontResult result = is_key ? key_stage(frame, slot, exec_arena, obs)
                                 : predict_stage(slot, obs);
     result.features = features;
-    result.me_add_ops = me_.add_ops;
+    result.me_add_ops = run_me ? me_.add_ops : 0;
     result.resident_bytes = resident_bytes();
     return result;
 }

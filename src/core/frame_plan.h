@@ -8,11 +8,11 @@
  * per stream from the network and AmcOptions and fixes everything a
  * frame's journey needs ahead of time:
  *
- *   ingest ─► motion estimation ─► motion-field build ─► policy ─┐
- *     │                                                          │
- *     │            ┌──── predicted branch: warp ◄────────────────┤
- *     │            │                                             │
- *     │            │    ┌ key branch: prefix ─► encode ◄─────────┘
+ *   ingest ─► schedule ─► [motion estimation] ─► [policy] ──────┐
+ *     │                                                         │
+ *     │            ┌─── predicted branch: motion field ─► warp ◄┤
+ *     │            │                                            │
+ *     │            │    ┌ key branch: prefix ─► encode ◄────────┘
  *     ▼            ▼    ▼
  *   (first frame) suffix ExecutionPlan ─► commit
  *
@@ -22,6 +22,12 @@
  * fitted motion field and warped activation are written in place
  * (`*_into` forms), so a steady-state predicted frame performs zero
  * heap allocations from ingest to commit.
+ *
+ * Bracketed stages run only when their result is read. The policy's
+ * schedule() first says whether frames_since_key alone decides the
+ * frame; motion estimation then runs only if the policy needs its
+ * features or a compensation prediction needs its field to warp by,
+ * and the policy's is_key_frame() only if the features decide.
  *
  * Execution splits into two halves with one carried dependency:
  *
@@ -173,10 +179,12 @@ class FramePlan
     // Stage execution.
 
     /**
-     * Front half of one frame, policy-driven: ingest → motion
-     * estimation → policy → key branch (prefix + encode) or
-     * predicted branch (motion-field build + warp). Writes the
-     * suffix input activation into ring slot `slot`. Touches all
+     * Front half of one frame, policy-driven: ingest → schedule →
+     * motion estimation and policy where read (see file comment) →
+     * key branch (prefix + encode) or predicted branch (motion-field
+     * build + warp). Frames that skip motion estimation report
+     * features {0, 0, frames_since_key} and zero me_add_ops. Writes
+     * the suffix input activation into ring slot `slot`. Touches all
      * carried stream state; calls must be serialized in frame order.
      *
      * @param exec_arena Arena the CNN prefix cycles activations

@@ -10,7 +10,14 @@ StaticRatePolicy::StaticRatePolicy(i64 interval) : interval_(interval)
 bool
 StaticRatePolicy::is_key_frame(const FrameFeatures &features)
 {
-    return features.frames_since_key >= interval_;
+    return schedule(features.frames_since_key) == FrameSchedule::kKey;
+}
+
+FrameSchedule
+StaticRatePolicy::schedule(i64 frames_since_key) const
+{
+    return frames_since_key >= interval_ ? FrameSchedule::kKey
+                                         : FrameSchedule::kPredict;
 }
 
 std::string
@@ -28,10 +35,16 @@ BlockErrorPolicy::BlockErrorPolicy(double threshold, i64 max_gap)
 bool
 BlockErrorPolicy::is_key_frame(const FrameFeatures &features)
 {
-    if (max_gap_ > 0 && features.frames_since_key >= max_gap_) {
-        return true;
-    }
-    return features.match_error > threshold_;
+    return schedule(features.frames_since_key) == FrameSchedule::kKey ||
+           features.match_error > threshold_;
+}
+
+FrameSchedule
+BlockErrorPolicy::schedule(i64 frames_since_key) const
+{
+    return max_gap_ > 0 && frames_since_key >= max_gap_
+               ? FrameSchedule::kKey
+               : FrameSchedule::kNeedFeatures;
 }
 
 std::string
@@ -49,10 +62,16 @@ MotionMagnitudePolicy::MotionMagnitudePolicy(double threshold, i64 max_gap)
 bool
 MotionMagnitudePolicy::is_key_frame(const FrameFeatures &features)
 {
-    if (max_gap_ > 0 && features.frames_since_key >= max_gap_) {
-        return true;
-    }
-    return features.motion_magnitude > threshold_;
+    return schedule(features.frames_since_key) == FrameSchedule::kKey ||
+           features.motion_magnitude > threshold_;
+}
+
+FrameSchedule
+MotionMagnitudePolicy::schedule(i64 frames_since_key) const
+{
+    return max_gap_ > 0 && frames_since_key >= max_gap_
+               ? FrameSchedule::kKey
+               : FrameSchedule::kNeedFeatures;
 }
 
 std::string

@@ -7,6 +7,11 @@
  * the motion-estimation pass EVA2 runs anyway: aggregate block match
  * error (chosen for the hardware, since it is a free byproduct of
  * RFBME) and total motion magnitude. Section IV-E5 sweeps both.
+ *
+ * Some decisions need no features at all: a static rate, or an
+ * adaptive policy whose max-gap cap is due. schedule() states those
+ * ahead of time, so the frame path can skip a motion-estimation pass
+ * whose result nothing would read.
  */
 #ifndef EVA2_CORE_KEYFRAME_POLICY_H
 #define EVA2_CORE_KEYFRAME_POLICY_H
@@ -29,6 +34,14 @@ struct FrameFeatures
     i64 frames_since_key = 0;
 };
 
+/** A frame's type as known before motion estimation runs. */
+enum class FrameSchedule
+{
+    kKey,          ///< Key frame, whatever the features.
+    kPredict,      ///< Predicted frame, whatever the features.
+    kNeedFeatures, ///< The decision reads the RFBME features.
+};
+
 /** Decides whether each incoming frame is a key frame. */
 class KeyFramePolicy
 {
@@ -41,6 +54,20 @@ class KeyFramePolicy
      * policy for it.
      */
     virtual bool is_key_frame(const FrameFeatures &features) = 0;
+
+    /**
+     * The next frame's type if `frames_since_key` alone decides it.
+     * kKey must mean is_key_frame() would return true for every
+     * features value with that frames_since_key, and kPredict false;
+     * the pipeline then skips motion estimation where nothing else
+     * reads it and does not call is_key_frame() for that frame. The
+     * default, kNeedFeatures, always consults is_key_frame().
+     */
+    virtual FrameSchedule
+    schedule(i64 /* frames_since_key */) const
+    {
+        return FrameSchedule::kNeedFeatures;
+    }
 
     /** Reset internal state for a new stream. */
     virtual void reset() {}
@@ -57,6 +84,7 @@ class StaticRatePolicy : public KeyFramePolicy
     explicit StaticRatePolicy(i64 interval);
 
     bool is_key_frame(const FrameFeatures &features) override;
+    FrameSchedule schedule(i64 frames_since_key) const override;
     std::string name() const override;
 
     i64 interval() const { return interval_; }
@@ -81,6 +109,7 @@ class BlockErrorPolicy : public KeyFramePolicy
     explicit BlockErrorPolicy(double threshold, i64 max_gap = 0);
 
     bool is_key_frame(const FrameFeatures &features) override;
+    FrameSchedule schedule(i64 frames_since_key) const override;
     std::string name() const override;
 
   private:
@@ -98,6 +127,7 @@ class MotionMagnitudePolicy : public KeyFramePolicy
     explicit MotionMagnitudePolicy(double threshold, i64 max_gap = 0);
 
     bool is_key_frame(const FrameFeatures &features) override;
+    FrameSchedule schedule(i64 frames_since_key) const override;
     std::string name() const override;
 
   private:

@@ -661,7 +661,9 @@ TEST(RunReport, CollectsStageTimings)
     // 3 streams x 4 frames, static:interval=2 -> 2 keys per stream.
     EXPECT_EQ(calls("prefix"), 6);
     EXPECT_EQ(calls("suffix"), 12);
-    EXPECT_EQ(calls("motion_estimation"), 9); // All non-first frames.
+    // Only predicted frames run RFBME: the static policy schedules
+    // its keys without motion features, so they skip it.
+    EXPECT_EQ(calls("motion_estimation"), 6);
     EXPECT_EQ(calls("warp"), 6);
     EXPECT_EQ(calls("encode"), 6);
 
@@ -673,6 +675,39 @@ TEST(RunReport, CollectsStageTimings)
             EXPECT_EQ(s.calls, 12);
         }
     }
+}
+
+TEST(RunReport, EveryFrameRunsNoMotionEstimation)
+{
+    EngineFixture fx;
+    EngineConfig config = fx.config(2);
+    config.policy = "every_frame";
+    Engine engine(fx.net, config);
+    const RunReport report = engine.run(fx.streams);
+    EXPECT_EQ(report.key_frames, report.frames);
+    EXPECT_EQ(report.me_add_ops, 0);
+    bool saw_row = false;
+    for (const StageReport &s : report.stages) {
+        if (s.stage == "motion_estimation") {
+            saw_row = true;
+            EXPECT_EQ(s.calls, 0);
+        }
+    }
+    EXPECT_TRUE(saw_row);
+
+    // Every frame is a full execution, so the stream digests are the
+    // whole-network plan's outputs chained in order.
+    const ExecutionPlan whole(fx.net, config.resolve(fx.net).amc.plan);
+    u64 digest = kDigestSeed;
+    for (const Sequence &seq : fx.streams) {
+        u64 row = kDigestSeed;
+        for (const LabeledFrame &f : seq.frames) {
+            row = digest_combine(row,
+                                 tensor_digest(whole.forward(f.image)));
+        }
+        digest = digest_combine(digest, row);
+    }
+    EXPECT_EQ(report.digest, digest);
 }
 
 TEST(RunReport, JsonIsWellFormedAndCarriesHeadlineNumbers)

@@ -3,9 +3,12 @@
  * Tests for the compiled FramePlan stage graph and its pipelined
  * execution: stage-level parity with the serial AmcPipeline facade,
  * the digest-identity sweep over scenarios x policies x kernels
- * (pipelined vs serial frame execution), and the zero-allocation
- * guarantee of the full ingest-to-commit predicted-frame path.
+ * (pipelined vs serial frame execution), the zero-allocation
+ * guarantee of the full ingest-to-commit predicted-frame path, and
+ * the policy schedule that skips motion estimation nothing reads.
  */
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
@@ -115,6 +118,216 @@ TEST(FramePlan, ForcedPathsMatchFacadeForcedPaths)
     EXPECT_EQ(front.me_add_ops, pred.me_add_ops);
     EXPECT_TRUE(pred.output ==
                 b.frame_plan().run_suffix(0, arena, nullptr));
+}
+
+/** Counts stage completions (single-threaded use). */
+class StageCounter : public AmcObserver
+{
+  public:
+    void
+    on_stage(AmcStage stage, double) override
+    {
+        ++calls_[static_cast<size_t>(stage)];
+    }
+
+    i64
+    count(AmcStage stage) const
+    {
+        return calls_[static_cast<size_t>(stage)];
+    }
+
+  private:
+    std::array<i64, kNumAmcStages> calls_{};
+};
+
+/**
+ * Forwards is_key_frame to a wrapped policy but never schedules a
+ * frame ahead of motion estimation: the run-RFBME-on-every-frame
+ * behaviour the scheduled path must reproduce bit for bit.
+ */
+class NeverSchedules : public KeyFramePolicy
+{
+  public:
+    explicit NeverSchedules(std::unique_ptr<KeyFramePolicy> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    bool
+    is_key_frame(const FrameFeatures &features) override
+    {
+        return inner_->is_key_frame(features);
+    }
+
+    void reset() override { inner_->reset(); }
+    std::string name() const override { return inner_->name(); }
+
+  private:
+    std::unique_ptr<KeyFramePolicy> inner_;
+};
+
+/** One frame of a scheduled-vs-reference drive. */
+struct DrivenFrame
+{
+    FrontResult front;
+    u64 digest = 0;
+    bool ran_me = false; ///< kMotionEstimation ran for this frame.
+    bool ran_policy = false;
+};
+
+std::vector<DrivenFrame>
+drive(const Network &net, std::unique_ptr<KeyFramePolicy> policy,
+      MotionMode motion, const Sequence &seq)
+{
+    AmcOptions opts = small_options();
+    opts.motion_mode = motion;
+    AmcPipeline pipeline(net, std::move(policy), opts);
+    FramePlan &plan = pipeline.frame_plan();
+    ScratchArena arena;
+    StageCounter counter;
+    std::vector<DrivenFrame> out;
+    for (const LabeledFrame &f : seq.frames) {
+        const i64 me_before = counter.count(AmcStage::kMotionEstimation);
+        const i64 policy_before = counter.count(AmcStage::kPolicy);
+        DrivenFrame d;
+        d.front = plan.run_front(f.image, 0, arena, &counter);
+        d.digest = tensor_digest(plan.run_suffix(0, arena, &counter));
+        d.ran_me =
+            counter.count(AmcStage::kMotionEstimation) > me_before;
+        d.ran_policy = counter.count(AmcStage::kPolicy) > policy_before;
+        out.push_back(d);
+    }
+    return out;
+}
+
+/**
+ * Motion estimation runs only where its result is read, and the
+ * frames that skip it come out bit-identical to a plan that ran it
+ * on every frame and let the policy decide.
+ */
+TEST(FramePlanSchedule, SkipsOnlyUnreadMotionEstimation)
+{
+    PlanFixture fx;
+    const Sequence seq = multi_stream_set(/*seed=*/17, 1, 10, 96)[0];
+    struct Case
+    {
+        std::string policy;
+        MotionMode motion;
+    };
+    const std::vector<Case> cases = {
+        {"every_frame", MotionMode::kCompensation},
+        {"static:interval=4", MotionMode::kCompensation},
+        {"adaptive_error:th=1e9,max_gap=4", MotionMode::kCompensation},
+        {"static:interval=4", MotionMode::kMemoization},
+    };
+    const PolicyRegistry &reg = PolicyRegistry::instance();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.policy + (c.motion == MotionMode::kMemoization
+                                     ? " (memoization)"
+                                     : " (compensation)"));
+        const std::vector<DrivenFrame> got =
+            drive(fx.net, reg.make(c.policy), c.motion, seq);
+        const std::vector<DrivenFrame> want = drive(
+            fx.net, std::make_unique<NeverSchedules>(reg.make(c.policy)),
+            c.motion, seq);
+        ASSERT_EQ(got.size(), want.size());
+        i64 me_runs = 0;
+        i64 later_keys = 0;
+        for (size_t i = 0; i < got.size(); ++i) {
+            const DrivenFrame &g = got[i];
+            EXPECT_EQ(g.front.is_key, want[i].front.is_key)
+                << "frame " << i;
+            EXPECT_EQ(g.digest, want[i].digest) << "frame " << i;
+            EXPECT_EQ(g.front.features.frames_since_key,
+                      want[i].front.features.frames_since_key);
+            // The reference runs RFBME and the policy on every frame
+            // after the first.
+            EXPECT_EQ(want[i].ran_me, i > 0) << "frame " << i;
+            EXPECT_EQ(want[i].ran_policy, i > 0) << "frame " << i;
+            me_runs += g.ran_me ? 1 : 0;
+            later_keys += i > 0 && g.front.is_key ? 1 : 0;
+            if (i == 0) {
+                EXPECT_FALSE(g.ran_me);
+                continue;
+            }
+            // Every key after the first is scheduled in these cases
+            // (static rate, or the max-gap cap under an unreachable
+            // threshold): no RFBME and no policy call. Predictions
+            // run RFBME iff the compensation warp reads its field.
+            const bool want_me =
+                !g.front.is_key && c.motion == MotionMode::kCompensation;
+            EXPECT_EQ(g.ran_me, want_me) << "frame " << i;
+            if (g.ran_me) {
+                EXPECT_EQ(g.front.me_add_ops, want[i].front.me_add_ops);
+                EXPECT_DOUBLE_EQ(g.front.features.match_error,
+                                 want[i].front.features.match_error);
+            } else {
+                EXPECT_EQ(g.front.me_add_ops, 0) << "frame " << i;
+                EXPECT_EQ(g.front.features.match_error, 0.0);
+                EXPECT_EQ(g.front.features.motion_magnitude, 0.0);
+                EXPECT_GT(want[i].front.me_add_ops, 0);
+            }
+            if (c.policy.rfind("adaptive", 0) == 0) {
+                EXPECT_EQ(g.ran_policy, !g.front.is_key) << "frame " << i;
+            } else {
+                EXPECT_FALSE(g.ran_policy) << "frame " << i;
+            }
+        }
+        EXPECT_GT(later_keys, 0) << "no scheduled key to skip";
+        if (c.policy == "every_frame" ||
+            c.motion == MotionMode::kMemoization) {
+            EXPECT_EQ(me_runs, 0);
+        }
+    }
+}
+
+/**
+ * The schedule() contract for every built-in policy: kKey means
+ * is_key_frame() answers true, and kPredict false, for any features
+ * with that frames_since_key.
+ */
+TEST(FramePlanSchedule, BuiltInSchedulesAgreeWithIsKeyFrame)
+{
+    const PolicyRegistry &reg = PolicyRegistry::instance();
+    std::vector<std::string> specs = reg.names(); // Default params.
+    for (const char *spec :
+         {"static:interval=3", "adaptive_error:th=0.02,max_gap=4",
+          "block_error:th=0.5,max_gap=1",
+          "adaptive_motion:th=60,max_gap=5",
+          "motion_magnitude:th=0,max_gap=2"}) {
+        specs.push_back(spec);
+    }
+    const std::vector<double> values = {0.0, 1e-6, 0.02, 0.5,
+                                        60.0, 1e3, 1e12};
+    for (const std::string &spec : specs) {
+        std::unique_ptr<KeyFramePolicy> policy = reg.make(spec);
+        i64 decided = 0;
+        for (i64 n = 1; n <= 12; ++n) {
+            const FrameSchedule s = policy->schedule(n);
+            if (s == FrameSchedule::kNeedFeatures) {
+                continue;
+            }
+            ++decided;
+            for (const double err : values) {
+                for (const double mag : values) {
+                    FrameFeatures f;
+                    f.match_error = err;
+                    f.motion_magnitude = mag;
+                    f.frames_since_key = n;
+                    EXPECT_EQ(policy->is_key_frame(f),
+                              s == FrameSchedule::kKey)
+                        << spec << " at frames_since_key " << n;
+                }
+            }
+        }
+        // Static rates decide every frame; a max-gap cap decides the
+        // frames at or past it.
+        if (spec == "every_frame" || spec.rfind("static", 0) == 0) {
+            EXPECT_EQ(decided, 12) << spec;
+        } else if (spec.find("max_gap") != std::string::npos) {
+            EXPECT_GT(decided, 0) << spec;
+        }
+    }
 }
 
 /** Engine config matching small_options(), at a given execution shape. */

@@ -601,27 +601,26 @@ TEST(Engine, TunedKernelRunsAndReportsProvenance)
     }
     EXPECT_TRUE(saw_variant);
 
-    // The motion front end reports its raced diff-tile variant like
-    // the CNN steps do. Without SIMD support the race is skipped and
-    // the plan pins the scalar oracle.
-    bool saw_motion = false;
-    for (const PlanRecord &rec : report.plan) {
-        if (rec.scope != "motion") {
-            continue;
+    // The motion front end reports its diff-tile variant like the
+    // CNN steps do. The SIMD producer is bit-exact, so every kernel
+    // spec runs it wherever the CPU supports it, with no race; only
+    // a CPU without SIMD pins the scalar oracle.
+    for (const RunReport *r : {&gemm_report, &report}) {
+        bool saw_motion = false;
+        for (const PlanRecord &rec : r->plan) {
+            if (rec.scope != "motion") {
+                continue;
+            }
+            saw_motion = true;
+            ASSERT_EQ(rec.steps.size(), 1u);
+            EXPECT_EQ(rec.steps[0].layer, "rfbme");
+            EXPECT_EQ(rec.steps[0].kernel.rfind("rfbme_tile/", 0), 0u);
+            EXPECT_EQ(rec.steps[0].variant,
+                      simd_supported() ? "simd" : "scalar")
+                << r->kernel;
         }
-        saw_motion = true;
-        ASSERT_EQ(rec.steps.size(), 1u);
-        EXPECT_EQ(rec.steps[0].layer, "rfbme");
-        EXPECT_EQ(rec.steps[0].kernel.rfind("rfbme_tile/", 0), 0u);
-        if (simd_supported()) {
-            EXPECT_TRUE(rec.steps[0].variant == "scalar" ||
-                        rec.steps[0].variant == "simd")
-                << rec.steps[0].variant;
-        } else {
-            EXPECT_EQ(rec.steps[0].variant, "scalar");
-        }
+        EXPECT_TRUE(saw_motion) << r->kernel;
     }
-    EXPECT_TRUE(saw_motion);
 
     const std::string json = report.to_json();
     EXPECT_NE(json.find("\"simd_isa\""), std::string::npos);
