@@ -222,8 +222,9 @@ BENCHMARK(BM_ConvIm2colGemm)
 // Variant-keyed rows for the perf-regression baseline. Names follow
 // `<kernel>/<variant>/<shape>` so the CI baseline diff has stable
 // (kernel, variant, shape) identifiers: `conv_gemm/<variant>/<shape>`
-// for each GEMM micro-kernel (scalar + every SIMD register tile when
-// the machine supports it), `conv_tuned/<shape>` for the autotuned
+// for each GEMM micro-kernel (scalar, plus the bit-exact simd_exact
+// tile and every fma register tile when the machine supports SIMD),
+// `conv_tuned/<shape>` for the autotuned
 // end-to-end plan, and `fc/<scalar|simd>/<dims>` for the FC dot
 // kernels. Registered from main() so the SIMD rows can be gated on
 // the *runtime* cpuid check, not just the compile-time ISA.
@@ -543,6 +544,7 @@ register_variant_benches()
     for (const ConvShape &shape : kConvShapes) {
         std::vector<GemmVariant> variants = {GemmVariant::kScalar};
         if (simd_supported()) {
+            variants.push_back(GemmVariant::kExact);
             for (const GemmVariant v : simd_gemm_variants()) {
                 variants.push_back(v);
             }

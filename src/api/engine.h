@@ -68,9 +68,10 @@ struct EngineConfig
     std::string codec = "rle_q88";
     /**
      * CNN execution kernel spec (KernelRegistry): how the compiled
-     * plans run the network. `gemm` (im2col + blocked GEMM, fused
-     * conv+ReLU) is bit-identical to `direct` (the seed reference)
-     * and roughly twice as fast on serving shapes.
+     * plans run the network. `gemm` (im2col + blocked GEMM on the
+     * bit-exact SIMD tile where the CPU supports it, fused conv+ReLU)
+     * is bit-identical to `direct` (the seed reference) and several
+     * times as fast on serving shapes.
      */
     std::string kernel = "gemm";
     /** AMC target layer: "last_spatial", "early", or "layer:<i>". */

@@ -283,10 +283,10 @@ KernelRegistry::KernelRegistry()
         plan.fuse_conv_relu = spec.integer("fuse", 0) != 0;
     });
     // gemm + per-shape autotuning over the SIMD micro-kernel variants
-    // (kernel_tuner.h). The tuned kernels are bounded-divergence vs
-    // the scalar oracle, never bit-exact — see docs/simd_kernels.md
-    // for the verification contract. Falls back to scalar gemm when
-    // SIMD is unsupported on the running machine.
+    // (kernel_tuner.h). An fma winner is bounded-divergence vs the
+    // scalar oracle, never bit-exact — see docs/simd_kernels.md for
+    // the verification contract. Falls back to scalar gemm when SIMD
+    // is unsupported on the running machine.
     add("tuned", [](const ComponentSpec &spec, PlanOptions &plan) {
         spec.allow_only({"fuse", "budget_us"});
         plan.conv_kernel = ConvKernel::kIm2colGemm;

@@ -137,9 +137,10 @@ class InterpRegistry
  * rewrites the PlanOptions embedded in an AmcOptions.
  *
  * Built-ins:
- *   `gemm[:fuse=0|1]`   im2col + blocked-GEMM convolutions
- *                       (bit-identical to direct; default), with
- *                       conv+ReLU fusion on unless fuse=0.
+ *   `gemm[:fuse=0|1]`   im2col + blocked-GEMM convolutions on the
+ *                       bit-exact SIMD tile (scalar tile without
+ *                       SIMD; bit-identical to direct; default),
+ *                       with conv+ReLU fusion on unless fuse=0.
  *   `direct[:fuse=0|1]` the seed's direct convolution loop — the
  *                       bit-exactness reference; fusion off unless
  *                       fuse=1.

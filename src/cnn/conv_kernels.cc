@@ -1,5 +1,6 @@
 #include "cnn/conv_kernels.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "runtime/parallel_for.h"
@@ -18,14 +19,15 @@ namespace {
 constexpr i64 kTileN = 32;
 
 /**
- * One output-pixel tile of the GEMM: C[m][j0..j0+jn) for all m.
- * Each accumulator sums taps in ascending k, preserving the
- * per-output accumulation order of the direct kernel.
+ * One output-pixel tile of the GEMM: C[m][j0..j0+jn) for all m, with
+ * packed rows `ld` apart and output rows `n` apart. Each accumulator
+ * sums taps in ascending k, preserving the per-output accumulation
+ * order of the direct kernel.
  */
 void
 gemm_tile(const float *weights, const float *biases, const float *col,
-          i64 out_c, i64 taps, i64 n, i64 j0, i64 jn, float *out,
-          bool fuse_relu)
+          i64 ld, i64 out_c, i64 taps, i64 n, i64 j0, i64 jn,
+          float *out, bool fuse_relu)
 {
     float acc[kTileN];
     for (i64 m = 0; m < out_c; ++m) {
@@ -35,7 +37,7 @@ gemm_tile(const float *weights, const float *biases, const float *col,
         }
         for (i64 k = 0; k < taps; ++k) {
             const float wk = w[k];
-            const float *b = col + k * n + j0;
+            const float *b = col + k * ld + j0;
             for (i64 jj = 0; jj < jn; ++jj) {
                 acc[jj] += wk * b[jj];
             }
@@ -57,8 +59,8 @@ gemm_tile(const float *weights, const float *biases, const float *col,
  * Pack tap row `k` of one sample into a column matrix whose rows are
  * `row_stride` wide: the sample's output pixels land at columns
  * [col_offset, col_offset + oh*ow). The single-sample packer uses
- * row_stride == oh*ow and offset 0; the batched packer lays samples
- * side by side in wider rows.
+ * row_stride == im2col_ld(oh*ow) and offset 0; the batched packer
+ * lays samples side by side in wider rows.
  */
 void
 pack_tap_row(const Tensor &in, const ConvGeometry &g,
@@ -70,19 +72,32 @@ pack_tap_row(const Tensor &in, const ConvGeometry &g,
     const i64 ic = k / (g.kernel * g.kernel);
     const i64 ih = in.height();
     const i64 iw = in.width();
+    const i64 ow = out_shape.w;
     float *row = dst + k * row_stride + col_offset;
     const float *plane = in.channel(ic).data();
+    // Stride 1: output column ox reads source column ox - pad + kx, so
+    // every in-bounds row is one contiguous span [lo, hi) framed by
+    // zero padding, the same for every oy.
+    const i64 lo = std::clamp<i64>(g.pad - kx, 0, ow);
+    const i64 hi = std::clamp<i64>(iw + g.pad - kx, lo, ow);
     for (i64 oy = 0; oy < out_shape.h; ++oy) {
         const i64 y = oy * g.stride - g.pad + ky;
-        float *r = row + oy * out_shape.w;
+        float *r = row + oy * ow;
         if (y < 0 || y >= ih) {
-            for (i64 ox = 0; ox < out_shape.w; ++ox) {
-                r[ox] = 0.0f;
-            }
+            std::fill(r, r + ow, 0.0f);
             continue;
         }
         const float *src = plane + y * iw;
-        for (i64 ox = 0; ox < out_shape.w; ++ox) {
+        if (g.stride == 1) {
+            std::fill(r, r + lo, 0.0f);
+            if (hi > lo) {
+                std::copy(src + (lo - g.pad + kx),
+                          src + (hi - g.pad + kx), r + lo);
+            }
+            std::fill(r + hi, r + ow, 0.0f);
+            continue;
+        }
+        for (i64 ox = 0; ox < ow; ++ox) {
             const i64 x = ox * g.stride - g.pad + kx;
             r[ox] = (x < 0 || x >= iw) ? 0.0f : src[x];
         }
@@ -90,16 +105,16 @@ pack_tap_row(const Tensor &in, const ConvGeometry &g,
 }
 
 /**
- * Full GEMM over `ncols` packed columns, split across threads in
- * disjoint column strips. kScalar runs the blocked reference tile;
- * SIMD variants run their register-tile strip kernel at the variant's
- * preferred strip width. Either way strips write disjoint columns and
- * per-output accumulation order is fixed, so the split is
- * deterministic and thread-count-invariant.
+ * Full GEMM over `ncols` packed columns (rows `ld` apart), split
+ * across threads in disjoint column strips. kScalar runs the blocked
+ * reference tile; SIMD variants run their register-tile strip kernel
+ * at the variant's preferred strip width. Either way strips write
+ * disjoint columns and per-output accumulation order is fixed, so the
+ * split is deterministic and thread-count-invariant.
  */
 void
 run_gemm(GemmVariant variant, const float *weights, const float *biases,
-         const float *packed, i64 out_c, i64 taps, i64 ncols,
+         const float *packed, i64 ld, i64 out_c, i64 taps, i64 ncols,
          float *dst, bool fuse_relu)
 {
     const i64 width = variant == GemmVariant::kScalar
@@ -110,10 +125,10 @@ run_gemm(GemmVariant variant, const float *weights, const float *biases,
         const i64 j0 = s * width;
         const i64 jn = std::min<i64>(width, ncols - j0);
         if (variant == GemmVariant::kScalar) {
-            gemm_tile(weights, biases, packed, out_c, taps, ncols, j0,
-                      jn, dst, fuse_relu);
+            gemm_tile(weights, biases, packed, ld, out_c, taps, ncols,
+                      j0, jn, dst, fuse_relu);
         } else {
-            gemm_strip_simd(variant, weights, biases, packed, out_c,
+            gemm_strip_simd(variant, weights, biases, packed, ld, out_c,
                             taps, ncols, j0, jn, dst, fuse_relu);
         }
     });
@@ -123,12 +138,12 @@ run_gemm(GemmVariant variant, const float *weights, const float *biases,
 
 void
 gemm_strip_scalar(const float *weights, const float *biases,
-                  const float *col, i64 out_c, i64 taps, i64 n, i64 j0,
-                  i64 jn, float *out, bool fuse_relu)
+                  const float *col, i64 ld, i64 out_c, i64 taps, i64 n,
+                  i64 j0, i64 jn, float *out, bool fuse_relu)
 {
     for (i64 t0 = 0; t0 < jn; t0 += kTileN) {
         const i64 tn = std::min<i64>(kTileN, jn - t0);
-        gemm_tile(weights, biases, col, out_c, taps, n, j0 + t0, tn,
+        gemm_tile(weights, biases, col, ld, out_c, taps, n, j0 + t0, tn,
                   out, fuse_relu);
     }
 }
@@ -138,15 +153,15 @@ im2col_pack(const Tensor &in, const ConvGeometry &g,
             const Shape &out_shape, Tensor &col)
 {
     const i64 taps = im2col_rows(g);
-    const i64 n = out_shape.h * out_shape.w;
-    col.reshape_to(Shape{1, taps, n});
+    const i64 ld = im2col_ld(out_shape.h * out_shape.w);
+    col.reshape_to(Shape{1, taps, ld});
     float *dst = col.data().data();
     // Rows are independent (one (ic, ky, kx) tap each) and written
     // disjointly, so splitting them across threads is deterministic.
     parallel_for(
         0, taps,
         [&](i64 k) {
-            pack_tap_row(in, g, out_shape, dst, n, 0, k);
+            pack_tap_row(in, g, out_shape, dst, ld, 0, k);
         },
         ParallelForOptions{/*grain=*/4, /*pool=*/nullptr});
 }
@@ -205,8 +220,8 @@ conv_im2col_gemm(const Tensor &in, const ConvGeometry &g,
     const i64 n = os.h * os.w;
     const float *packed = col.data().data();
     float *dst = out.data().data();
-    run_gemm(variant, weights, biases, packed, g.out_c, taps, n, dst,
-             fuse_relu);
+    run_gemm(variant, weights, biases, packed, col.width(), g.out_c,
+             taps, n, dst, fuse_relu);
 }
 
 void
@@ -221,7 +236,8 @@ conv_im2col_gemm_batched(const Tensor *const *ins, i64 nb,
     const i64 taps = im2col_rows(g);
     const i64 pix = os.h * os.w;
     const i64 ncols = nb * pix;
-    col.reshape_to(Shape{1, taps, ncols});
+    const i64 ld = im2col_ld(ncols);
+    col.reshape_to(Shape{1, taps, ld});
     gemm_out.reshape_to(Shape{1, g.out_c, ncols});
     float *packed = col.data().data();
     // Pack every sample side by side: sample i's output pixels occupy
@@ -230,7 +246,7 @@ conv_im2col_gemm_batched(const Tensor *const *ins, i64 nb,
         0, taps,
         [&](i64 k) {
             for (i64 i = 0; i < nb; ++i) {
-                pack_tap_row(*ins[i], g, os, packed, ncols, i * pix, k);
+                pack_tap_row(*ins[i], g, os, packed, ld, i * pix, k);
             }
         },
         ParallelForOptions{/*grain=*/4, /*pool=*/nullptr});
@@ -238,7 +254,7 @@ conv_im2col_gemm_batched(const Tensor *const *ins, i64 nb,
     // boundaries; each output element's accumulation is per-column,
     // so the grouping cannot change any result bit.
     float *dst = gemm_out.data().data();
-    run_gemm(variant, weights, biases, packed, g.out_c, taps, ncols,
+    run_gemm(variant, weights, biases, packed, ld, g.out_c, taps, ncols,
              dst, fuse_relu);
     // Scatter the interleaved [out_c][nb*pix] product back to each
     // sample's CHW tensor (plain copies: values are already final).

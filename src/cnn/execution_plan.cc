@@ -62,7 +62,8 @@ ExecutionPlan::ExecutionPlan(const Network &net, i64 begin, i64 end,
                 step.col_slot = kColSlot;
                 step.col_shape =
                     Shape{1, s.c * g.kernel * g.kernel,
-                          step.out_shape.h * step.out_shape.w};
+                          im2col_ld(step.out_shape.h * step.out_shape.w)};
+                step.conv_variant = exact_gemm_variant();
             }
             if (opts.fuse_conv_relu && i + 1 < end &&
                 net.layer(i + 1).kind() == LayerKind::kRelu) {
@@ -181,6 +182,7 @@ BatchedExecutionPlan::BatchedExecutionPlan(const Network &net, i64 begin,
                 step.col_shape =
                     Shape{1, s.c * g.kernel * g.kernel,
                           step.out_shape.h * step.out_shape.w};
+                step.conv_variant = exact_gemm_variant();
             }
             if (opts.fuse_conv_relu && i + 1 < end &&
                 net.layer(i + 1).kind() == LayerKind::kRelu) {
@@ -267,8 +269,8 @@ BatchedExecutionPlan::run(const Tensor *const *inputs, i64 n,
             g.stride = conv->stride();
             g.pad = conv->pad();
             Tensor &col = arena.slot(
-                col_slot(),
-                Shape{1, step.col_shape.h, n * step.col_shape.w});
+                col_slot(), Shape{1, step.col_shape.h,
+                                  im2col_ld(n * step.col_shape.w)});
             Tensor &gemm_out = arena.slot(
                 gemm_slot(),
                 Shape{1, g.out_c, n * step.col_shape.w});

@@ -14,9 +14,11 @@
  *    only reads its immediate predecessor), so steady-state frames
  *    allocate nothing;
  *  - a kernel is chosen per layer — convolutions run the im2col +
- *    blocked-GEMM kernel by default (bit-identical to the seed's
- *    direct loop, see conv_kernels.h), optionally fusing a following
- *    ReLU into the conv's output write.
+ *    blocked-GEMM kernel by default, on the bit-exact SIMD register
+ *    tile wherever simd_supported() and on the scalar blocked tile
+ *    otherwise (both bit-identical to the seed's direct loop, see
+ *    conv_kernels.h), optionally fusing a following ReLU into the
+ *    conv's output write.
  *
  * A plan borrows its Network and is immutable after compilation, so
  * one plan may be shared by any number of threads, each running it
@@ -36,7 +38,11 @@ namespace eva2 {
 /** Compilation knobs for ExecutionPlan. */
 struct PlanOptions
 {
-    /** Convolution kernel to select for conv layers. */
+    /**
+     * Convolution kernel to select for conv layers. kIm2colGemm runs
+     * exact_gemm_variant() (the bit-exact SIMD tile, or the scalar
+     * tile without SIMD); kDirect runs the seed's nested loop.
+     */
     ConvKernel conv_kernel = ConvKernel::kIm2colGemm;
     /**
      * Fold each ReLU that immediately follows a conv into the conv's
@@ -49,8 +55,10 @@ struct PlanOptions
      * spec): at compile time every conv layer's GEMM micro-kernel
      * variant and every FC layer's dot kernel are picked by
      * KernelTuner contests on synthetic data of the real shape,
-     * cached process-wide so each shape tunes once. The SIMD winners
-     * are bounded-divergence vs the scalar reference (fma, tree
+     * cached process-wide so each shape tunes once. The bit-exact
+     * SIMD tile is every conv contest's reference candidate, so an
+     * fma winner has to beat it; fma and SIMD FC winners are
+     * bounded-divergence vs the scalar reference (fma, tree
      * reductions) — see docs/simd_kernels.md for the verification
      * contract. No-op when SIMD is unsupported on this machine.
      */
@@ -67,8 +75,8 @@ struct PlanStepInfo
     std::string kernel;   ///< Selected kernel name.
     /**
      * Chosen micro-kernel variant: the GEMM register tile for gemm
-     * convs ("scalar", "mr2xnv4", ...), "simd"/"scalar" for FC
-     * layers, empty for steps with no variant dimension.
+     * convs ("simd_exact", "scalar", "mr2xnv4", ...), "simd"/"scalar"
+     * for FC layers, empty for steps with no variant dimension.
      */
     std::string variant;
     bool fused_relu = false;
@@ -146,14 +154,16 @@ class ExecutionPlan
         i64 layer_index = 0;
         Shape out_shape;
         ConvKernel conv_kernel = ConvKernel::kDirect;
-        /** Tuner-picked GEMM variant (kScalar unless opts.tune). */
+        /** GEMM variant: exact_gemm_variant() unless opts.tune picks
+         * an fma tile. */
         GemmVariant conv_variant = GemmVariant::kScalar;
         /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
         bool simd_fc = false;
         bool fuse_relu = false;
         i64 out_slot = 0;
         i64 col_slot = -1; ///< im2col workspace slot, or -1.
-        Shape col_shape;   ///< Pre-resolved im2col dimensions.
+        /** Pre-resolved im2col dimensions {1, K, im2col_ld(N)}. */
+        Shape col_shape;
     };
 
     const Network *net_;
@@ -255,10 +265,10 @@ class BatchedExecutionPlan
         i64 layer_index = 0;
         Shape out_shape;
         ConvKernel conv_kernel = ConvKernel::kDirect;
-        /** Tuner-picked GEMM variant (kScalar unless opts.tune). The
-         * contest runs on the per-sample shape; the batched GEMM
-         * reuses the pick for every batch size (same key as the
-         * unbatched plan, so both agree on one variant). */
+        /** GEMM variant: exact_gemm_variant() unless opts.tune picks
+         * an fma tile. The contest runs on the per-sample shape; the
+         * batched GEMM reuses the pick for every batch size (same key
+         * as the unbatched plan, so both agree on one variant). */
         GemmVariant conv_variant = GemmVariant::kScalar;
         /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
         bool simd_fc = false;
@@ -266,7 +276,9 @@ class BatchedExecutionPlan
         i64 parity = 0;    ///< Lane ping-pong side this step writes.
         bool batched_conv = false; ///< conv_im2col_gemm_batched step.
         bool batched_fc = false;   ///< FcLayer::forward_batched step.
-        Shape col_shape;   ///< Per-sample im2col dimensions.
+        /** Per-sample im2col dimensions {1, K, N}; a batch of n
+         * packs into {1, K, im2col_ld(n * N)}. */
+        Shape col_shape;
     };
 
     /** Arena slot of lane `lane`'s ping-pong side `parity`. */

@@ -161,32 +161,29 @@ tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
     std::vector<float> weights(
         static_cast<size_t>(g.out_c * taps));
     std::vector<float> biases(static_cast<size_t>(g.out_c));
-    std::vector<float> col(static_cast<size_t>(taps * n_tune));
+    // Same row stride as the plan's packed matrix, so the contest
+    // sees the layer's cache behaviour.
+    const i64 ld = im2col_ld(n_tune);
+    std::vector<float> col(static_cast<size_t>(taps * ld));
     std::vector<float> out(static_cast<size_t>(g.out_c * n_tune));
     fill_uniform(weights, 17);
     fill_uniform(biases, 19);
     fill_uniform(col, 23);
 
+    // The bit-exact SIMD tile is the reference candidate: it is what
+    // an untuned plan runs, so an fma tile only wins by beating it.
+    std::vector<GemmVariant> variants = {GemmVariant::kExact};
+    variants.insert(variants.end(), simd_gemm_variants().begin(),
+                    simd_gemm_variants().end());
     std::vector<TuneCandidate> candidates;
-    TuneCandidate scalar;
-    scalar.name = gemm_variant_name(GemmVariant::kScalar);
-    scalar.id = static_cast<i64>(GemmVariant::kScalar);
-    scalar.run = [&weights, &biases, &col, &out, g, taps, n_tune,
-                  fuse_relu]() {
-        gemm_strip_scalar(weights.data(), biases.data(), col.data(),
-                          g.out_c, taps, n_tune, 0, n_tune, out.data(),
-                          fuse_relu);
-        consume(out[0]);
-    };
-    candidates.push_back(std::move(scalar));
-    for (const GemmVariant v : simd_gemm_variants()) {
+    for (const GemmVariant v : variants) {
         TuneCandidate cand;
         cand.name = gemm_variant_name(v);
         cand.id = static_cast<i64>(v);
-        cand.run = [&weights, &biases, &col, &out, g, taps, n_tune,
+        cand.run = [&weights, &biases, &col, &out, g, taps, ld, n_tune,
                     fuse_relu, v]() {
             gemm_strip_simd(v, weights.data(), biases.data(),
-                            col.data(), g.out_c, taps, n_tune, 0,
+                            col.data(), ld, g.out_c, taps, n_tune, 0,
                             n_tune, out.data(), fuse_relu);
             consume(out[0]);
         };

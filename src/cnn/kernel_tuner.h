@@ -4,8 +4,9 @@
  *
  * The searchable space (in the spirit of AMOS's automatic mapping of
  * tensor computations onto hardware intrinsics): for each distinct
- * conv layer shape, the SIMD GEMM register-tile variants of
- * simd_kernels.h plus the scalar blocked reference; for each distinct
+ * conv layer shape, the fma GEMM register-tile variants of
+ * simd_kernels.h plus the bit-exact SIMD tile (the reference an
+ * untuned plan runs); for each distinct
  * FC shape, the SIMD dot kernel vs the scalar chain. At plan-compile
  * time ExecutionPlan asks the tuner for the winner; the tuner
  * benchmarks the candidates on synthetic data of the real shape
@@ -91,8 +92,8 @@ class KernelTuner
 
 /**
  * Tuned GEMM variant for one conv layer shape: kScalar when SIMD is
- * unsupported, otherwise the contest winner among the scalar blocked
- * kernel and every SIMD register-tile variant, benchmarked on a
+ * unsupported, otherwise the contest winner among the bit-exact kExact
+ * tile and every fma register-tile variant, benchmarked on a
  * synthetic im2col matrix of the layer's real geometry (columns
  * capped so one contest costs well under a frame).
  */

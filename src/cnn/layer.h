@@ -91,9 +91,11 @@ struct ForwardCtx
      */
     bool fuse_relu = false;
     /**
-     * GEMM micro-kernel variant for im2col conv (tuner-selected by
-     * `kernel=tuned` plans; kScalar is the bit-exact reference). SIMD
-     * variants are bounded-divergence and require simd_supported().
+     * GEMM micro-kernel variant for im2col conv. kScalar is the
+     * bit-exact reference and kExact its bit-identical SIMD form
+     * (the plans' default); the fma variants are tuner-selected by
+     * `kernel=tuned` plans and bounded-divergence. Every SIMD variant
+     * requires simd_supported().
      */
     GemmVariant conv_variant = GemmVariant::kScalar;
     /**

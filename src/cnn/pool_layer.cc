@@ -1,6 +1,9 @@
 #include "cnn/pool_layer.h"
 
+#include <algorithm>
 #include <limits>
+
+#include "runtime/parallel_for.h"
 
 namespace eva2 {
 
@@ -33,33 +36,40 @@ MaxPoolLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
     Tensor &out = *ctx.out;
     const Shape os = out.shape();
-    for (i64 c = 0; c < os.c; ++c) {
+    const i64 ih = in.height();
+    const i64 iw = in.width();
+    // Channels write disjoint planes, and each window clamps its range
+    // to the input once, then visits its in-bounds taps in (ky, kx)
+    // order, so the result does not depend on the thread count.
+    parallel_for(0, os.c, [&](i64 c) {
+        const float *plane = in.channel(c).data();
+        float *dst = out.data().data() + c * os.h * os.w;
         for (i64 oy = 0; oy < os.h; ++oy) {
             const i64 base_y = oy * stride_ - pad_;
+            const i64 y0 = std::max<i64>(base_y, 0);
+            const i64 y1 = std::min<i64>(base_y + kernel_, ih);
             for (i64 ox = 0; ox < os.w; ++ox) {
                 const i64 base_x = ox * stride_ - pad_;
-                // Padded cells count as zero, matching common framework
-                // semantics for positive activations after ReLU.
+                const i64 x0 = std::max<i64>(base_x, 0);
+                const i64 x1 = std::min<i64>(base_x + kernel_, iw);
+                // A window with no input cell (all padding) yields 0,
+                // matching common framework semantics for positive
+                // activations after ReLU.
+                if (y0 >= y1 || x0 >= x1) {
+                    dst[oy * os.w + ox] = 0.0f;
+                    continue;
+                }
                 float best = -std::numeric_limits<float>::infinity();
-                bool any = false;
-                for (i64 ky = 0; ky < kernel_; ++ky) {
-                    const i64 y = base_y + ky;
-                    if (y < 0 || y >= in.height()) {
-                        continue;
-                    }
-                    for (i64 kx = 0; kx < kernel_; ++kx) {
-                        const i64 x = base_x + kx;
-                        if (x < 0 || x >= in.width()) {
-                            continue;
-                        }
-                        best = std::max(best, in.at(c, y, x));
-                        any = true;
+                for (i64 y = y0; y < y1; ++y) {
+                    const float *row = plane + y * iw;
+                    for (i64 x = x0; x < x1; ++x) {
+                        best = std::max(best, row[x]);
                     }
                 }
-                out.at(c, oy, ox) = any ? best : 0.0f;
+                dst[oy * os.w + ox] = best;
             }
         }
-    }
+    });
 }
 
 } // namespace eva2

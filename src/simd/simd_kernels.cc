@@ -28,6 +28,7 @@ gemm_variant_name(GemmVariant v)
 {
     switch (v) {
       case GemmVariant::kScalar: return "scalar";
+      case GemmVariant::kExact: return "simd_exact";
       case GemmVariant::kMr1xNv4: return "mr1xnv4";
       case GemmVariant::kMr2xNv2: return "mr2xnv2";
       case GemmVariant::kMr2xNv4: return "mr2xnv4";
@@ -46,6 +47,12 @@ simd_gemm_variants()
         GemmVariant::kMr4xNv3,
     };
     return variants;
+}
+
+GemmVariant
+exact_gemm_variant()
+{
+    return simd_supported() ? GemmVariant::kExact : GemmVariant::kScalar;
 }
 
 bool
@@ -92,15 +99,18 @@ namespace {
  * of output pixels, all accumulators live in registers. Loads each
  * packed-column vector once per k and reuses it across the MR rows —
  * the arithmetic-intensity win the scalar blocked kernel (one row at
- * a time) cannot have. Per output element the accumulation is still
- * ascending-k into a single chain; fma is the only numeric
- * difference from the scalar reference.
+ * a time) cannot have. Per output element the accumulation is
+ * ascending-k into a single chain starting from the bias. Fused tiles
+ * use fma (one rounding per tap, bounded divergence); unfused tiles
+ * spell out mul then add (two roundings per tap, and the TU's
+ * -ffp-contract=off keeps them apart), so every lane repeats the
+ * scalar gemm_tile sequence exactly.
  */
-template <int MR, int NV>
+template <int MR, int NV, bool Fused>
 void
 gemm_register_tile(const float *weights, const float *biases,
-                   const float *col, i64 m0, i64 taps, i64 n, i64 j0,
-                   float *out, bool fuse_relu)
+                   const float *col, i64 ld, i64 m0, i64 taps, i64 n,
+                   i64 j0, float *out, bool fuse_relu)
 {
     constexpr i64 L = VecF::kLanes;
     VecF acc[MR][NV];
@@ -111,7 +121,7 @@ gemm_register_tile(const float *weights, const float *biases,
         }
     }
     for (i64 k = 0; k < taps; ++k) {
-        const float *brow = col + k * n + j0;
+        const float *brow = col + k * ld + j0;
         VecF bv[NV];
         for (int v = 0; v < NV; ++v) {
             bv[v] = VecF::load(brow + v * L);
@@ -120,7 +130,11 @@ gemm_register_tile(const float *weights, const float *biases,
         for (int r = 0; r < MR; ++r) {
             const VecF wv = VecF::broadcast(wcol[r * taps]);
             for (int v = 0; v < NV; ++v) {
-                acc[r][v] = acc[r][v].fma(wv, bv[v]);
+                if constexpr (Fused) {
+                    acc[r][v] = acc[r][v].fma(wv, bv[v]);
+                } else {
+                    acc[r][v] = acc[r][v] + wv * bv[v];
+                }
             }
         }
     }
@@ -137,20 +151,20 @@ gemm_register_tile(const float *weights, const float *biases,
 
 /**
  * Tail columns of a strip (fewer than one vector): scalar, ascending
- * k, explicit mul+add. Deterministic for a given (shape, variant);
- * the bounded-divergence gate covers the whole tensor either way.
+ * k, explicit mul+add — the scalar reference sequence, so the tail is
+ * bit-exact for every variant.
  */
 void
 gemm_scalar_tail(const float *weights, const float *biases,
-                 const float *col, i64 out_c, i64 taps, i64 n, i64 j0,
-                 i64 jn, float *out, bool fuse_relu)
+                 const float *col, i64 ld, i64 out_c, i64 taps, i64 n,
+                 i64 j0, i64 jn, float *out, bool fuse_relu)
 {
     for (i64 m = 0; m < out_c; ++m) {
         const float *w = weights + m * taps;
         for (i64 j = j0; j < j0 + jn; ++j) {
             float acc = biases[m];
             for (i64 k = 0; k < taps; ++k) {
-                acc += w[k] * col[k * n + j];
+                acc += w[k] * col[k * ld + j];
             }
             out[m * n + j] =
                 fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
@@ -169,6 +183,7 @@ TileGeom
 variant_geom(GemmVariant v)
 {
     switch (v) {
+      case GemmVariant::kExact: return {4, 2};
       case GemmVariant::kMr1xNv4: return {1, 4};
       case GemmVariant::kMr2xNv2: return {2, 2};
       case GemmVariant::kMr2xNv4: return {2, 4};
@@ -180,11 +195,11 @@ variant_geom(GemmVariant v)
                         "to the SIMD kernel");
 }
 
-template <int MR, int NV>
+template <int MR, int NV, bool Fused>
 void
 gemm_strip_impl(const float *weights, const float *biases,
-                const float *col, i64 out_c, i64 taps, i64 n, i64 j0,
-                i64 jn, float *out, bool fuse_relu)
+                const float *col, i64 ld, i64 out_c, i64 taps, i64 n,
+                i64 j0, i64 jn, float *out, bool fuse_relu)
 {
     constexpr i64 L = VecF::kLanes;
     constexpr i64 kFull = NV * L;
@@ -193,23 +208,26 @@ gemm_strip_impl(const float *weights, const float *biases,
     for (; j + kFull <= j_end; j += kFull) {
         i64 m0 = 0;
         for (; m0 + MR <= out_c; m0 += MR) {
-            gemm_register_tile<MR, NV>(weights, biases, col, m0, taps,
-                                       n, j, out, fuse_relu);
+            gemm_register_tile<MR, NV, Fused>(weights, biases, col, ld,
+                                              m0, taps, n, j, out,
+                                              fuse_relu);
         }
         for (; m0 < out_c; ++m0) {
-            gemm_register_tile<1, NV>(weights, biases, col, m0, taps,
-                                      n, j, out, fuse_relu);
+            gemm_register_tile<1, NV, Fused>(weights, biases, col, ld,
+                                             m0, taps, n, j, out,
+                                             fuse_relu);
         }
     }
     // Single-vector columns past the last full tile.
     for (; j + L <= j_end; j += L) {
         for (i64 m0 = 0; m0 < out_c; ++m0) {
-            gemm_register_tile<1, 1>(weights, biases, col, m0, taps, n,
-                                     j, out, fuse_relu);
+            gemm_register_tile<1, 1, Fused>(weights, biases, col, ld,
+                                            m0, taps, n, j, out,
+                                            fuse_relu);
         }
     }
     if (j < j_end) {
-        gemm_scalar_tail(weights, biases, col, out_c, taps, n, j,
+        gemm_scalar_tail(weights, biases, col, ld, out_c, taps, n, j,
                          j_end - j, out, fuse_relu);
     }
 }
@@ -218,30 +236,34 @@ gemm_strip_impl(const float *weights, const float *biases,
 
 void
 gemm_strip_simd(GemmVariant variant, const float *weights,
-                const float *biases, const float *col, i64 out_c,
-                i64 taps, i64 n, i64 j0, i64 jn, float *out,
+                const float *biases, const float *col, i64 ld,
+                i64 out_c, i64 taps, i64 n, i64 j0, i64 jn, float *out,
                 bool fuse_relu)
 {
     switch (variant) {
+      case GemmVariant::kExact:
+        gemm_strip_impl<4, 2, false>(weights, biases, col, ld, out_c,
+                                     taps, n, j0, jn, out, fuse_relu);
+        return;
       case GemmVariant::kMr1xNv4:
-        gemm_strip_impl<1, 4>(weights, biases, col, out_c, taps, n, j0,
-                              jn, out, fuse_relu);
+        gemm_strip_impl<1, 4, true>(weights, biases, col, ld, out_c,
+                                    taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr2xNv2:
-        gemm_strip_impl<2, 2>(weights, biases, col, out_c, taps, n, j0,
-                              jn, out, fuse_relu);
+        gemm_strip_impl<2, 2, true>(weights, biases, col, ld, out_c,
+                                    taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr2xNv4:
-        gemm_strip_impl<2, 4>(weights, biases, col, out_c, taps, n, j0,
-                              jn, out, fuse_relu);
+        gemm_strip_impl<2, 4, true>(weights, biases, col, ld, out_c,
+                                    taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr4xNv2:
-        gemm_strip_impl<4, 2>(weights, biases, col, out_c, taps, n, j0,
-                              jn, out, fuse_relu);
+        gemm_strip_impl<4, 2, true>(weights, biases, col, ld, out_c,
+                                    taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr4xNv3:
-        gemm_strip_impl<4, 3>(weights, biases, col, out_c, taps, n, j0,
-                              jn, out, fuse_relu);
+        gemm_strip_impl<4, 3, true>(weights, biases, col, ld, out_c,
+                                    taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kScalar: break;
     }

@@ -11,14 +11,15 @@
  *
  * Two numeric classes of kernel live here:
  *
- *  - Bit-exact: relu_simd, the warp_apply_* kernels, and the SAD
- *    kernels (sad_span_simd / sad_tile_row_simd) perform, per
- *    element, exactly the operation sequence of the scalar reference
- *    (lane-parallel max / mul / add, no fma, no reordering; the SAD
- *    kernels reproduce the fixed-stripe reduction contract of
- *    flow/sad_kernels.h). They are drop-in replacements and need no
- *    divergence gating.
- *  - Bounded-divergence: the GEMM micro-kernels (fma: one rounding
+ *  - Bit-exact: relu_simd, the warp_apply_* kernels, the SAD kernels
+ *    (sad_span_simd / sad_tile_row_simd), and the kExact GEMM tile
+ *    perform, per element, exactly the operation sequence of the
+ *    scalar reference (lane-parallel max / mul / add, no fma, no
+ *    reordering; the SAD kernels reproduce the fixed-stripe reduction
+ *    contract of flow/sad_kernels.h). They are drop-in replacements,
+ *    need no divergence gating, and run by default wherever
+ *    simd_supported().
+ *  - Bounded-divergence: the fma GEMM register tiles (one rounding
  *    where the scalar reference has two) and the FC kernels (fma plus
  *    a tree-order horizontal sum). These are only selected through
  *    the `kernel=tuned` path, which the two-tier verification story
@@ -35,12 +36,15 @@
 namespace eva2 {
 
 /**
- * A GEMM micro-kernel variant: the register-tile geometry the tuner
- * searches over. kScalar is the reference blocked kernel in
- * conv_kernels.cc; the kMrXxNvY variants are SIMD register tiles of
- * X weight rows by Y vectors of output pixels (X*Y accumulator
- * vectors held live; larger X amortizes the packed-column loads
- * across weight rows, larger Y hides fma latency).
+ * A GEMM micro-kernel variant. kScalar is the reference blocked
+ * kernel in conv_kernels.cc. kExact is a SIMD register tile (4 weight
+ * rows by 2 vectors of output pixels) that accumulates with mul then
+ * add, so it is bit-identical to kScalar; it is the default for every
+ * untuned gemm conv wherever simd_supported(). The kMrXxNvY variants
+ * are fma register tiles of X weight rows by Y vectors of output
+ * pixels (X*Y accumulator vectors held live; larger X amortizes the
+ * packed-column loads across weight rows, larger Y hides fma
+ * latency) that the tuner searches over.
  */
 enum class GemmVariant : i64
 {
@@ -50,13 +54,22 @@ enum class GemmVariant : i64
     kMr2xNv4,
     kMr4xNv2,
     kMr4xNv3,
+    kExact,
 };
 
-/** Printable variant name ("scalar", "mr2xnv4", ...). */
+/** Printable variant name ("scalar", "simd_exact", "mr2xnv4", ...). */
 const char *gemm_variant_name(GemmVariant v);
 
-/** The SIMD variants the tuner considers (excludes kScalar). */
+/** The fma variants the tuner races against kExact (excludes the two
+ * bit-exact variants). */
 const std::vector<GemmVariant> &simd_gemm_variants();
+
+/**
+ * The bit-exact GEMM variant for this machine: kExact when
+ * simd_supported(), kScalar otherwise. ExecutionPlan runs it for every
+ * untuned gemm conv.
+ */
+GemmVariant exact_gemm_variant();
 
 /** True when the SIMD TU was compiled for a real vector ISA. */
 bool simd_compiled();
@@ -77,14 +90,17 @@ i64 simd_lanes();
 /**
  * SIMD blocked GEMM over a packed im2col matrix: out[m][j] =
  * bias[m] + sum_k w[m][k] * col[k][j] for j in [j0, j0+jn), all m in
- * [0, out_c). Accumulation per output element is ascending-k with
- * fused multiply-adds; columns beyond the last full vector run
- * through a value-safe lane-parallel tail. Requires simd_supported().
+ * [0, out_c). Row k of `col` starts at col + k*ld (ld >= n, see
+ * im2col_ld in cnn/conv_kernels.h); row m of `out` at out + m*n.
+ * Accumulation per output element is ascending-k from the bias, with
+ * mul+add for kExact (bit-exact) and fused multiply-adds for the
+ * other variants; columns beyond the last full vector run through a
+ * scalar mul+add tail. Requires simd_supported().
  */
 void gemm_strip_simd(GemmVariant variant, const float *weights,
-                     const float *biases, const float *col, i64 out_c,
-                     i64 taps, i64 n, i64 j0, i64 jn, float *out,
-                     bool fuse_relu);
+                     const float *biases, const float *col, i64 ld,
+                     i64 out_c, i64 taps, i64 n, i64 j0, i64 jn,
+                     float *out, bool fuse_relu);
 
 /** Column-strip width gemm_strip_simd wants for a variant, in
  * pixels; parallel_for splits the GEMM over strips of this width. */

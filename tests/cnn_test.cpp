@@ -8,6 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include "cnn/activation_layer.h"
 #include "cnn/conv_layer.h"
 #include "cnn/fc_layer.h"
@@ -15,6 +19,7 @@
 #include "cnn/pool_layer.h"
 #include "cnn/weights.h"
 #include "tensor/tensor_ops.h"
+#include "util/rng.h"
 
 namespace eva2 {
 namespace {
@@ -73,6 +78,64 @@ TEST(MaxPool, Figure4aReference)
     EXPECT_FLOAT_EQ(out.at(0, 0, 1), 0.0f);
     EXPECT_FLOAT_EQ(out.at(0, 1, 0), 2.0f);
     EXPECT_FLOAT_EQ(out.at(0, 1, 1), 0.0f);
+}
+
+TEST(MaxPool, ClampedWindowsMatchPerTapLoop)
+{
+    // The reference visits every tap and skips out-of-bounds ones; the
+    // layer clamps each window once. Same taps, same (ky, kx) order,
+    // so the result must match bit for bit — including signed zeros
+    // (max keeps the first of -0.0/+0.0) and windows that are all
+    // padding (pad >= kernel), which yield 0.
+    Tensor in(3, 7, 6);
+    Rng rng(61);
+    for (i64 i = 0; i < in.size(); ++i) {
+        in[i] = rng.uniform_f(-1.0f, 1.0f);
+    }
+    in[0] = -0.0f;
+    in[1] = 0.0f;
+    for (const i64 kernel : {1, 2, 3}) {
+        for (const i64 stride : {1, 2, 3}) {
+            for (const i64 pad : {0, 1, 2}) {
+                const MaxPoolLayer pool(kernel, stride, pad);
+                const Shape os = pool.out_shape(in.shape());
+                if (os.h < 1 || os.w < 1) {
+                    continue;
+                }
+                Tensor want(os);
+                for (i64 c = 0; c < os.c; ++c) {
+                    for (i64 oy = 0; oy < os.h; ++oy) {
+                        for (i64 ox = 0; ox < os.w; ++ox) {
+                            float best =
+                                -std::numeric_limits<float>::infinity();
+                            bool any = false;
+                            for (i64 ky = 0; ky < kernel; ++ky) {
+                                for (i64 kx = 0; kx < kernel; ++kx) {
+                                    const i64 y = oy * stride - pad + ky;
+                                    const i64 x = ox * stride - pad + kx;
+                                    if (y < 0 || y >= in.height() ||
+                                        x < 0 || x >= in.width()) {
+                                        continue;
+                                    }
+                                    best = std::max(best, in.at(c, y, x));
+                                    any = true;
+                                }
+                            }
+                            want.at(c, oy, ox) = any ? best : 0.0f;
+                        }
+                    }
+                }
+                const Tensor got = pool.forward(in);
+                ASSERT_EQ(got.shape(), os);
+                EXPECT_EQ(std::memcmp(got.data().data(),
+                                      want.data().data(),
+                                      static_cast<size_t>(got.size()) *
+                                          sizeof(float)),
+                          0)
+                    << "k=" << kernel << " s=" << stride << " p=" << pad;
+            }
+        }
+    }
 }
 
 TEST(MaxPool, Figure4ePoolingBreaksCommutativity)

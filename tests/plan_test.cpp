@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the planned execution engine: ExecutionPlan compilation,
- * scratch-arena reuse, and the im2col/blocked-GEMM conv kernel.
+ * scratch-arena reuse, and the im2col/blocked-GEMM conv kernel (its
+ * packer and the packed matrix's padded leading dimension included).
  *
  * The central property is *bit-exactness*: the planned paths (direct
  * or GEMM, fused or not, through the pipeline or the Engine) must
@@ -13,8 +14,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "api/engine.h"
 #include "cnn/activation_layer.h"
+#include "cnn/conv_kernels.h"
 #include "cnn/conv_layer.h"
 #include "cnn/execution_plan.h"
 #include "cnn/fc_layer.h"
@@ -218,6 +222,138 @@ TEST(ExecutionPlan, DescribeReportsKernelSelectionAndFusion)
     EXPECT_EQ(direct_steps[0].kernel, "direct");
     EXPECT_FALSE(direct_steps[0].fused_relu);
     EXPECT_EQ(direct_steps[1].kernel, "relu");
+}
+
+// --------------------------------------------------------------------
+// im2col packing and the padded leading dimension
+
+/**
+ * The per-element definition of im2col: tap (ic, ky, kx) of output
+ * pixel (oy, ox) reads in[ic][oy*s - p + ky][ox*s - p + kx], or 0 out
+ * of bounds. Returns the K x N matrix densely packed.
+ */
+std::vector<float>
+im2col_oracle(const Tensor &in, const ConvGeometry &g, const Shape &os)
+{
+    const i64 n = os.h * os.w;
+    std::vector<float> col(static_cast<size_t>(im2col_rows(g) * n));
+    for (i64 ic = 0; ic < g.in_c; ++ic) {
+        for (i64 ky = 0; ky < g.kernel; ++ky) {
+            for (i64 kx = 0; kx < g.kernel; ++kx) {
+                const i64 k = (ic * g.kernel + ky) * g.kernel + kx;
+                for (i64 oy = 0; oy < os.h; ++oy) {
+                    for (i64 ox = 0; ox < os.w; ++ox) {
+                        const i64 y = oy * g.stride - g.pad + ky;
+                        const i64 x = ox * g.stride - g.pad + kx;
+                        const bool inside = y >= 0 && y < in.height() &&
+                                            x >= 0 && x < in.width();
+                        col[static_cast<size_t>(k * n + oy * os.w +
+                                                ox)] =
+                            inside ? in.at(ic, y, x) : 0.0f;
+                    }
+                }
+            }
+        }
+    }
+    return col;
+}
+
+TEST(Im2colPack, FastAndGeneralPathsMatchPerElementPacking)
+{
+    // Stride 1 takes the contiguous-span fast path, stride 2 the
+    // per-element loop; both must equal the definition bit for bit,
+    // including inputs narrower than the kernel (every row is mostly
+    // padding) and signed zeros (a copy must not canonicalize -0.0).
+    const Shape inputs[] = {{2, 7, 9}, {1, 2, 3}, {3, 4, 1}, {1, 5, 5}};
+    i64 checked = 0;
+    for (const Shape &is : inputs) {
+        Tensor in = random_tensor(is, 31);
+        in[0] = -0.0f;
+        for (const i64 stride : {1, 2}) {
+            for (const i64 pad : {0, 1, 2}) {
+                for (const i64 kernel : {1, 3, 5}) {
+                    const ConvGeometry g{is.c, 4, kernel, stride, pad};
+                    const Shape os{4,
+                                   conv_out_size(is.h, kernel, stride,
+                                                 pad),
+                                   conv_out_size(is.w, kernel, stride,
+                                                 pad)};
+                    if (os.h < 1 || os.w < 1) {
+                        continue;
+                    }
+                    const i64 n = os.h * os.w;
+                    Tensor col;
+                    im2col_pack(in, g, os, col);
+                    ASSERT_EQ(col.width(), im2col_ld(n));
+                    const std::vector<float> want =
+                        im2col_oracle(in, g, os);
+                    for (i64 k = 0; k < im2col_rows(g); ++k) {
+                        EXPECT_EQ(std::memcmp(
+                                      col.data().data() + k * col.width(),
+                                      want.data() + k * n,
+                                      static_cast<size_t>(n) *
+                                          sizeof(float)),
+                                  0)
+                            << "in " << is.str() << " k=" << kernel
+                            << " s=" << stride << " p=" << pad
+                            << " tap " << k;
+                    }
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 40);
+}
+
+TEST(Im2colPack, LeadingDimensionPadsOnlyFourKibStrides)
+{
+    EXPECT_EQ(im2col_ld(1), 1);
+    EXPECT_EQ(im2col_ld(1000), 1000);
+    EXPECT_EQ(im2col_ld(1024), 1040);
+    EXPECT_EQ(im2col_ld(16384), 16400);
+}
+
+TEST(ExecutionPlan, PaddedLeadingDimensionMatchesSeedBitExactly)
+{
+    // A 32x32 output plane packs 1024 columns, so its im2col rows get
+    // the padded leading dimension; the planned GEMM (default
+    // variant) must still equal the seed's direct loop.
+    const Network net = conv_net({3, 32, 32}, 10, 3, 1, 1, 41,
+                                 /*with_relu=*/true);
+    const Tensor in = random_tensor(net.input_shape(), 43);
+    const Tensor seed_out = net.forward(in);
+    EXPECT_TRUE(seed_out == ExecutionPlan(net).forward(in));
+}
+
+TEST(BatchedExecutionPlan, DefaultVariantMatchesSeedBitExactly)
+{
+    // Four 16x16 samples pack 4 * 256 = 1024 columns side by side:
+    // the batched GEMM runs on the padded leading dimension with the
+    // plan's default variant, and every sample must equal the seed's
+    // Network::forward bit for bit.
+    const Network net = conv_net({5, 16, 16}, 7, 3, 1, 1, 47,
+                                 /*with_relu=*/true);
+    const ExecutionPlan single(net);
+    const BatchedExecutionPlan batched(single, /*max_batch=*/4);
+    std::vector<Tensor> ins;
+    for (u64 i = 0; i < 4; ++i) {
+        ins.push_back(random_tensor(net.input_shape(), 50 + i));
+    }
+    for (const i64 nb : {1, 3, 4}) {
+        std::vector<const Tensor *> in_ptrs;
+        for (i64 i = 0; i < nb; ++i) {
+            in_ptrs.push_back(&ins[static_cast<size_t>(i)]);
+        }
+        std::vector<const Tensor *> outs(static_cast<size_t>(nb));
+        ScratchArena arena;
+        batched.run(in_ptrs.data(), nb, outs.data(), arena);
+        for (i64 i = 0; i < nb; ++i) {
+            EXPECT_TRUE(*outs[static_cast<size_t>(i)] ==
+                        net.forward(ins[static_cast<size_t>(i)]))
+                << "nb=" << nb << " sample " << i;
+        }
+    }
 }
 
 // --------------------------------------------------------------------

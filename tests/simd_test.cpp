@@ -5,7 +5,8 @@
  *
  *  - tier 1, bit-exact: the scalar kernels stay the reference oracle,
  *    and the lane-parallel SIMD kernels that only reorder value-safe
- *    ops (ReLU, warp gather/select) must match them bit for bit;
+ *    ops (ReLU, warp gather/select, the mul+add GEMM tile) must match
+ *    them bit for bit;
  *  - tier 2, bounded divergence: the fma/tree-reduction kernels
  *    (GEMM register tiles, FC dot) may differ from the scalar chains
  *    only within a small ulp/absolute envelope, and end-task results
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -229,6 +231,71 @@ TEST(SimdKernels, WarpGathersMatchScalarSelectsBitForBit)
     }
 }
 
+/** One awkward GEMM strip shape for the bit-exact tile race. */
+struct StripCase
+{
+    i64 out_c, taps, n, ld;
+};
+
+TEST(SimdKernels, ExactGemmStripMatchesScalarBitForBit)
+{
+    if (!simd_supported()) {
+        GTEST_SKIP() << "no SIMD on this machine";
+    }
+    const StripCase cases[] = {
+        {8, 27, 37, 37},     // n not a multiple of 8 or 16.
+        {4, 9, 5, 5},        // n below one vector: all scalar tail.
+        {5, 1, 24, 24},      // out_c not a multiple of 4; one tap.
+        {7, 1, 3, 3},        // Both, and a one-tap tail.
+        {6, 18, 50, 66},     // Padded leading dimension.
+        {4, 144, 1024, im2col_ld(1024)}, // The conv-layer padding.
+        {13, 40, 129, 144},  // Everything at once.
+    };
+    for (const StripCase &c : cases) {
+        std::vector<float> w(static_cast<size_t>(c.out_c * c.taps));
+        std::vector<float> b(static_cast<size_t>(c.out_c));
+        std::vector<float> col(static_cast<size_t>(c.taps * c.ld));
+        Rng rng(67);
+        for (float &x : w) {
+            x = rng.uniform_f(-1.0f, 1.0f);
+        }
+        for (float &x : b) {
+            x = rng.uniform_f(-1.0f, 1.0f);
+        }
+        for (float &x : col) {
+            x = rng.uniform_f(-1.0f, 1.0f);
+        }
+        // Padding columns hold NaN: reading one poisons an output.
+        for (i64 k = 0; k < c.taps; ++k) {
+            for (i64 j = c.n; j < c.ld; ++j) {
+                col[static_cast<size_t>(k * c.ld + j)] =
+                    std::numeric_limits<float>::quiet_NaN();
+            }
+        }
+        const size_t out_size = static_cast<size_t>(c.out_c * c.n);
+        for (const bool fuse : {false, true}) {
+            // Whole strip, and a strip starting off a vector boundary.
+            for (const i64 j0 : {i64{0}, std::min<i64>(3, c.n - 1)}) {
+                const i64 jn = c.n - j0;
+                std::vector<float> ref(out_size, -7.0f);
+                std::vector<float> out(out_size, -7.0f);
+                gemm_strip_scalar(w.data(), b.data(), col.data(), c.ld,
+                                  c.out_c, c.taps, c.n, j0, jn,
+                                  ref.data(), fuse);
+                gemm_strip_simd(GemmVariant::kExact, w.data(), b.data(),
+                                col.data(), c.ld, c.out_c, c.taps, c.n,
+                                j0, jn, out.data(), fuse);
+                EXPECT_EQ(std::memcmp(ref.data(), out.data(),
+                                      out_size * sizeof(float)),
+                          0)
+                    << "out_c=" << c.out_c << " taps=" << c.taps
+                    << " n=" << c.n << " ld=" << c.ld << " j0=" << j0
+                    << " fuse=" << fuse;
+            }
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // Tier 2: bounded-divergence SIMD kernels vs the scalar oracle
 
@@ -379,6 +446,20 @@ TEST(KernelTuner, ConvPickIsCachedAndDeterministic)
     }
 }
 
+TEST(KernelTuner, ExactTileReplacesScalarAsTheConvReference)
+{
+    // Under SIMD the contest's reference is the bit-exact tile, so
+    // the slow scalar strip can never win a conv contest.
+    const GemmVariant pick =
+        tune_conv_gemm(ConvGeometry{12, 20, 3, 1, 1}, 9, 11,
+                       /*fuse_relu=*/false, /*budget_us=*/1000);
+    if (simd_supported()) {
+        EXPECT_NE(pick, GemmVariant::kScalar);
+    } else {
+        EXPECT_EQ(pick, GemmVariant::kScalar);
+    }
+}
+
 TEST(KernelTuner, FuseIsPartOfTheTuningKey)
 {
     const ConvGeometry g{8, 8, 3, 1, 1};
@@ -494,9 +575,16 @@ TEST(TunedPlan, ReportsChosenVariants)
     }
     EXPECT_TRUE(saw_conv);
     EXPECT_TRUE(saw_fc);
-    // The untuned plan reports the scalar reference everywhere.
+    // The untuned plan runs the bit-exact GEMM tile: the SIMD one
+    // where the CPU supports it, the scalar reference otherwise. FC
+    // layers keep the scalar chain.
     for (const PlanStepInfo &s : ExecutionPlan(net).describe()) {
-        if (s.kernel == "im2col_gemm" || s.kernel == "fc") {
+        if (s.kernel == "im2col_gemm") {
+            EXPECT_EQ(s.variant,
+                      simd_supported() ? "simd_exact" : "scalar")
+                << s.layer;
+        }
+        if (s.kernel == "fc") {
             EXPECT_EQ(s.variant, "scalar") << s.layer;
         }
     }
