@@ -2,12 +2,13 @@
  * @file
  * google-benchmark microbenches for the hot kernels: RFBME (tile
  * reuse) vs the naive reference, dense optical flow, activation
- * warping, the RLE codec, and the conv engine (seed direct loop vs
- * the planned im2col/blocked-GEMM kernel). These quantify the
- * software-side cost ordering the paper's hardware exploits: motion
- * estimation and warping must be orders of magnitude cheaper than
- * the CNN prefix they replace — and, on the serving side, how much
- * of the per-frame CNN cost planned execution recovers.
+ * warping, the RLE codec, and the conv engine (the planned
+ * im2col/blocked-GEMM kernel and its per-variant tiles). These
+ * quantify the software-side cost ordering the paper's hardware
+ * exploits: motion estimation and warping must be orders of
+ * magnitude cheaper than the CNN prefix they replace — and, on the
+ * serving side, how much of the per-frame CNN cost planned execution
+ * recovers.
  *
  * Usage: bench_micro_kernels [--json PATH] [google-benchmark flags]
  * --json writes the standard google-benchmark JSON report to PATH
@@ -140,9 +141,8 @@ BM_RleRoundTrip(benchmark::State &state)
 BENCHMARK(BM_RleRoundTrip)->Arg(10)->Arg(50);
 
 // --------------------------------------------------------------------
-// Conv engine: seed direct kernel vs planned im2col/blocked GEMM.
-// The CI smoke shapes; the acceptance bar is planned-GEMM throughput
-// >= 2x direct on these.
+// Conv engine: the planned im2col/blocked GEMM on the CI smoke
+// shapes (the default bit-exact variant, end to end through a plan).
 
 struct ConvShape
 {
@@ -185,14 +185,12 @@ conv_shape_input(const ConvShape &s)
 }
 
 void
-conv_bench(benchmark::State &state, ConvKernel kernel)
+BM_ConvIm2colGemm(benchmark::State &state)
 {
     const ConvShape &shape = kConvShapes[state.range(0)];
     const Network net = conv_shape_net(shape);
     const Tensor in = conv_shape_input(shape);
-    PlanOptions opts;
-    opts.conv_kernel = kernel;
-    const ExecutionPlan plan(net, opts);
+    const ExecutionPlan plan(net);
     ScratchArena arena;
     for (auto _ : state) {
         benchmark::DoNotOptimize(&plan.run(in, arena));
@@ -200,19 +198,6 @@ conv_bench(benchmark::State &state, ConvKernel kernel)
     state.SetLabel(shape.label);
     state.SetItemsProcessed(state.iterations() *
                             net.layer_macs(0));
-}
-
-void
-BM_ConvDirect(benchmark::State &state)
-{
-    conv_bench(state, ConvKernel::kDirect);
-}
-BENCHMARK(BM_ConvDirect)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-
-void
-BM_ConvIm2colGemm(benchmark::State &state)
-{
-    conv_bench(state, ConvKernel::kIm2colGemm);
 }
 BENCHMARK(BM_ConvIm2colGemm)
     ->DenseRange(0, 2)
@@ -263,7 +248,6 @@ conv_tuned_bench(benchmark::State &state, const ConvShape &shape)
     const Network net = conv_shape_net(shape);
     const Tensor in = conv_shape_input(shape);
     PlanOptions opts;
-    opts.conv_kernel = ConvKernel::kIm2colGemm;
     opts.tune = true;
     const ExecutionPlan plan(net, opts);
     ScratchArena arena;

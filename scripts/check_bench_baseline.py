@@ -55,7 +55,7 @@ the baseline after an intentional kernel change:
 
   for i in 1 2 3; do \
     ./build/bench_micro_kernels \
-      --benchmark_filter='BM_ConvDirect|BM_ConvIm2colGemm|conv_gemm|conv_tuned|fc/|warp/|rfbme/|sad/' \
+      --benchmark_filter='BM_ConvIm2colGemm|conv_gemm|conv_tuned|fc/|warp/|rfbme/|sad/' \
       --benchmark_enable_random_interleaving=true \
       --benchmark_repetitions=9 --benchmark_min_time=0.1 \
       --json /tmp/bench-run$i.json; done && \

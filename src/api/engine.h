@@ -70,8 +70,8 @@ struct EngineConfig
      * CNN execution kernel spec (KernelRegistry): how the compiled
      * plans run the network. `gemm` (im2col + blocked GEMM on the
      * bit-exact SIMD tile where the CPU supports it, fused conv+ReLU)
-     * is bit-identical to `direct` (the seed reference) and several
-     * times as fast on serving shapes.
+     * is bit-identical to the reference Network::forward; `tuned`
+     * autotunes tiles per shape (bounded divergence).
      */
     std::string kernel = "gemm";
     /** AMC target layer: "last_spatial", "early", or "layer:<i>". */

@@ -270,17 +270,12 @@ InterpRegistry::resolve(const std::string &name) const
 
 KernelRegistry::KernelRegistry()
 {
+    // Every conv on the bit-exact GEMM tile (SIMD where supported,
+    // scalar otherwise), fused with a following ReLU: bit-identical
+    // to the reference Network::forward.
     add("gemm", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({"fuse"});
-        plan.conv_kernel = ConvKernel::kIm2colGemm;
-        plan.fuse_conv_relu = spec.integer("fuse", 1) != 0;
-    });
-    add("direct", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({"fuse"});
-        plan.conv_kernel = ConvKernel::kDirect;
-        // The reference configuration mirrors the seed exactly, so
-        // fusion defaults off here.
-        plan.fuse_conv_relu = spec.integer("fuse", 0) != 0;
+        spec.allow_only({});
+        plan.tune = false;
     });
     // gemm + per-shape autotuning over the SIMD micro-kernel variants
     // (kernel_tuner.h). An fma winner is bounded-divergence vs the
@@ -288,9 +283,7 @@ KernelRegistry::KernelRegistry()
     // the verification contract. Falls back to scalar gemm when SIMD
     // is unsupported on the running machine.
     add("tuned", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({"fuse", "budget_us"});
-        plan.conv_kernel = ConvKernel::kIm2colGemm;
-        plan.fuse_conv_relu = spec.integer("fuse", 1) != 0;
+        spec.allow_only({"budget_us"});
         plan.tune = true;
         plan.tune_budget_us = spec.integer("budget_us", 20000);
         require(plan.tune_budget_us > 0,

@@ -137,13 +137,16 @@ class InterpRegistry
  * rewrites the PlanOptions embedded in an AmcOptions.
  *
  * Built-ins:
- *   `gemm[:fuse=0|1]`   im2col + blocked-GEMM convolutions on the
- *                       bit-exact SIMD tile (scalar tile without
- *                       SIMD; bit-identical to direct; default),
- *                       with conv+ReLU fusion on unless fuse=0.
- *   `direct[:fuse=0|1]` the seed's direct convolution loop — the
- *                       bit-exactness reference; fusion off unless
- *                       fuse=1.
+ *   `gemm`                   im2col + blocked-GEMM convolutions on the
+ *                            bit-exact SIMD tile (the scalar reference
+ *                            tile without SIMD), each fused with a
+ *                            following ReLU; bit-identical to the
+ *                            reference Network::forward. The default.
+ *   `tuned[:budget_us=N]`    gemm plus per-shape autotuning of the
+ *                            conv GEMM tile and the FC dot kernel
+ *                            (bounded divergence, not bit-exact).
+ *
+ * Any other kind or parameter throws ConfigError.
  */
 class KernelRegistry
 {

@@ -6,16 +6,6 @@
 
 namespace eva2 {
 
-Tensor
-ReluLayer::forward(const Tensor &in) const
-{
-    Tensor out(in.shape());
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
-    return out;
-}
-
 void
 ReluLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
@@ -36,16 +26,6 @@ LrnLayer::LrnLayer(i64 local_size, float alpha, float beta, float k)
     : local_size_(local_size), alpha_(alpha), beta_(beta), k_(k)
 {
     require(local_size > 0, "lrn: local_size must be positive");
-}
-
-Tensor
-LrnLayer::forward(const Tensor &in) const
-{
-    Tensor out(in.shape());
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
-    return out;
 }
 
 void

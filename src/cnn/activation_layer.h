@@ -16,7 +16,6 @@ namespace eva2 {
 class ReluLayer : public Layer
 {
   public:
-    Tensor forward(const Tensor &in) const override;
     void forward_into(const Tensor &in,
                       const ForwardCtx &ctx) const override;
     Shape out_shape(const Shape &in) const override { return in; }
@@ -34,7 +33,6 @@ class LrnLayer : public Layer
     LrnLayer(i64 local_size = 5, float alpha = 1e-4f, float beta = 0.75f,
              float k = 2.0f);
 
-    Tensor forward(const Tensor &in) const override;
     void forward_into(const Tensor &in,
                       const ForwardCtx &ctx) const override;
     Shape out_shape(const Shape &in) const override { return in; }

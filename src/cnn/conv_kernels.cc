@@ -21,8 +21,8 @@ constexpr i64 kTileN = 32;
 /**
  * One output-pixel tile of the GEMM: C[m][j0..j0+jn) for all m, with
  * packed rows `ld` apart and output rows `n` apart. Each accumulator
- * sums taps in ascending k, preserving the per-output accumulation
- * order of the direct kernel.
+ * starts from the bias and sums taps in ascending k: the reference
+ * per-output accumulation order every other tile reproduces.
  */
 void
 gemm_tile(const float *weights, const float *biases, const float *col,
@@ -164,49 +164,6 @@ im2col_pack(const Tensor &in, const ConvGeometry &g,
             pack_tap_row(in, g, out_shape, dst, ld, 0, k);
         },
         ParallelForOptions{/*grain=*/4, /*pool=*/nullptr});
-}
-
-void
-conv_direct(const Tensor &in, const ConvGeometry &g,
-            const float *weights, const float *biases, Tensor &out,
-            bool fuse_relu)
-{
-    const Shape os = out.shape();
-    const i64 ih = in.height();
-    const i64 iw = in.width();
-    // Output channels are independent and write disjoint planes, so
-    // splitting them across threads is bit-identical to the serial
-    // loop (the per-element accumulation order is unchanged).
-    parallel_for(0, g.out_c, [&](i64 oc) {
-        for (i64 oy = 0; oy < os.h; ++oy) {
-            const i64 base_y = oy * g.stride - g.pad;
-            for (i64 ox = 0; ox < os.w; ++ox) {
-                const i64 base_x = ox * g.stride - g.pad;
-                float acc = biases[oc];
-                for (i64 ic = 0; ic < g.in_c; ++ic) {
-                    for (i64 ky = 0; ky < g.kernel; ++ky) {
-                        const i64 y = base_y + ky;
-                        if (y < 0 || y >= ih) {
-                            continue;
-                        }
-                        const float *w =
-                            weights +
-                            ((oc * g.in_c + ic) * g.kernel + ky) *
-                                g.kernel;
-                        for (i64 kx = 0; kx < g.kernel; ++kx) {
-                            const i64 x = base_x + kx;
-                            if (x < 0 || x >= iw) {
-                                continue;
-                            }
-                            acc += w[kx] * in.at(ic, y, x);
-                        }
-                    }
-                }
-                out.at(oc, oy, ox) =
-                    fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
-            }
-        }
-    });
 }
 
 void

@@ -1,32 +1,32 @@
 /**
  * @file
- * The convolution kernel implementations ExecutionPlan selects from.
+ * The convolution kernel every conv layer runs.
  *
- * Two kernels compute the same layer:
+ * conv_im2col_gemm packs input patches into a K x N column matrix
+ * (K = in_c * kernel^2 taps, N = output pixels) and multiplies by the
+ * [out_c x K] weight matrix with an N-tiled GEMM. Tiles keep a strip
+ * of the packed matrix hot in cache while every output channel
+ * consumes it. The GEMM micro-kernel is a GemmVariant:
  *
- *  - conv_direct: the seed's nested-loop convolution, kept verbatim
- *    as the bit-exactness reference.
- *  - conv_im2col_gemm: packs input patches into a K x N column matrix
- *    (K = in_c * kernel^2 taps, N = output pixels) and multiplies by
- *    the [out_c x K] weight matrix with an N-tiled GEMM. Tiles keep a
- *    strip of the packed matrix hot in cache while every output
- *    channel consumes it. The GEMM micro-kernel is a GemmVariant:
- *    the scalar blocked tile (the oracle), the bit-exact SIMD tile
- *    kExact (ExecutionPlan's default wherever simd_supported()), or
- *    a tuner-picked fma tile.
+ *  - kScalar, the scalar blocked tile: the one conv oracle. It is what
+ *    the reference Network::forward runs, the non-SIMD fallback, and
+ *    the tile every SIMD variant is compared against;
+ *  - kExact, its bit-identical SIMD form (ExecutionPlan's default
+ *    wherever simd_supported());
+ *  - a tuner-picked fma tile (`kernel=tuned`, bounded divergence).
  *
- * Bit-exactness: for each output element the direct kernel, the
- * scalar GEMM tile and the kExact SIMD tile all start from the bias
- * and accumulate taps in the identical (in_c, ky, kx) order into a
- * single float accumulator, one multiply and one add per tap — the
- * GEMM tiles only regroup *which* outputs are computed together,
- * never the per-output order — so their results are bit-identical
- * (padding taps contribute exact zeros). The optional fused ReLU
- * writes max(acc, 0), which is bit-identical to a separate ReLU pass.
+ * Bit-exactness: for each output element the scalar tile and the
+ * kExact tile both start from the bias and accumulate taps in
+ * ascending (in_c, ky, kx) order into a single float accumulator, one
+ * multiply and one add per tap — the tiles only regroup *which*
+ * outputs are computed together, never the per-output order — so
+ * their results are bit-identical (padding taps contribute exact
+ * zeros). The optional fused ReLU writes max(acc, 0), which is
+ * bit-identical to a separate ReLU pass.
  *
- * Both kernels parallelize over disjoint output regions with the
- * deterministic parallel_for, so results are independent of thread
- * count and nest safely under stream-level parallelism.
+ * The packers and the GEMM parallelize over disjoint output regions
+ * with the deterministic parallel_for, so results are independent of
+ * thread count and nest safely under stream-level parallelism.
  */
 #ifndef EVA2_CNN_CONV_KERNELS_H
 #define EVA2_CNN_CONV_KERNELS_H
@@ -79,15 +79,6 @@ void im2col_pack(const Tensor &in, const ConvGeometry &g,
                  const Shape &out_shape, Tensor &col);
 
 /**
- * The seed's direct convolution. `out` must be pre-shaped to the
- * layer's output shape; `weights` is [out_c][in_c][ky][kx] flat,
- * `biases` is [out_c].
- */
-void conv_direct(const Tensor &in, const ConvGeometry &g,
-                 const float *weights, const float *biases, Tensor &out,
-                 bool fuse_relu);
-
-/**
  * The scalar blocked GEMM over one column strip [j0, j0+jn): the
  * bit-exact reference micro-kernel (internally tiled at the blocked
  * kernel's native width). Packed rows are `ld` floats apart, output
@@ -100,10 +91,12 @@ void gemm_strip_scalar(const float *weights, const float *biases,
                        bool fuse_relu);
 
 /**
- * im2col + blocked GEMM convolution. With kScalar (the default
- * argument, the oracle) or kExact, bit-identical to conv_direct (see
- * file comment). `col` is the packing workspace (any shape; it is
- * reshaped here and reusable across calls and layers). An fma
+ * im2col + blocked GEMM convolution. `out` must be pre-shaped to the
+ * layer's output shape; `weights` is [out_c][in_c][ky][kx] flat,
+ * `biases` is [out_c]. kScalar (the default argument, the oracle) and
+ * kExact are bit-identical (see file comment). `col` is the packing
+ * workspace (any shape; it is reshaped here and reusable across calls
+ * and layers). An fma
  * `variant` (tuner-selected, see kernel_tuner.h) computes the same
  * GEMM with fused multiply-adds — bounded divergence vs the scalar
  * reference, never bit-exact. Any SIMD variant requires

@@ -36,39 +36,16 @@ ConvLayer::macs(const Shape &in) const
     return out.size() * in_c_ * kernel_ * kernel_;
 }
 
-Tensor
-ConvLayer::forward(const Tensor &in) const
-{
-    // The plain-forward path is the seed reference: direct kernel,
-    // no fusion.
-    Tensor out(out_shape(in.shape()));
-    conv_direct(in, {in_c_, out_c_, kernel_, stride_, pad_},
-                weights_.data(), biases_.data(), out,
-                /*fuse_relu=*/false);
-    return out;
-}
-
 void
 ConvLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
-    const ConvGeometry g{in_c_, out_c_, kernel_, stride_, pad_};
-    if (ctx.conv_kernel == ConvKernel::kIm2colGemm) {
-        if (ctx.scratch != nullptr) {
-            conv_im2col_gemm(in, g, weights_.data(), biases_.data(),
-                             *ctx.out, *ctx.scratch, ctx.fuse_relu,
-                             ctx.conv_variant);
-        } else {
-            // No caller workspace: still correct, just not
-            // allocation-free.
-            Tensor col;
-            conv_im2col_gemm(in, g, weights_.data(), biases_.data(),
-                             *ctx.out, col, ctx.fuse_relu,
-                             ctx.conv_variant);
-        }
-        return;
-    }
-    conv_direct(in, g, weights_.data(), biases_.data(), *ctx.out,
-                ctx.fuse_relu);
+    // Without a caller workspace the pack buffer is local: still
+    // correct, just not allocation-free.
+    Tensor local_col;
+    Tensor &col = ctx.scratch != nullptr ? *ctx.scratch : local_col;
+    conv_im2col_gemm(in, {in_c_, out_c_, kernel_, stride_, pad_},
+                     weights_.data(), biases_.data(), *ctx.out, col,
+                     ctx.fuse_relu, ctx.conv_variant);
 }
 
 } // namespace eva2

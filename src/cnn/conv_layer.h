@@ -32,7 +32,6 @@ class ConvLayer : public Layer
      */
     ConvLayer(i64 in_c, i64 out_c, i64 kernel, i64 stride, i64 pad);
 
-    Tensor forward(const Tensor &in) const override;
     void forward_into(const Tensor &in,
                       const ForwardCtx &ctx) const override;
     Shape out_shape(const Shape &in) const override;

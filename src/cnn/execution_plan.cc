@@ -9,74 +9,47 @@ namespace eva2 {
 
 namespace {
 
-/** Arena slot ids: activations ping-pong, the im2col buffer is its
- * own slot so one workspace serves every gemm conv in the plan. */
-constexpr i64 kActSlotA = 0;
-constexpr i64 kActSlotB = 1;
+/** Arena slot of the im2col buffer. Activations ping-pong through
+ * slots 0 and 1; one workspace serves every conv in the plan. */
 constexpr i64 kColSlot = 2;
 
-/** Human-readable variant for one compiled step (reports). */
-std::string
-step_variant(const Layer &layer, ConvKernel kernel,
-             GemmVariant conv_variant, bool simd_fc)
-{
-    if (layer.kind() == LayerKind::kConv) {
-        return kernel == ConvKernel::kIm2colGemm
-                   ? gemm_variant_name(conv_variant)
-                   : "";
-    }
-    if (layer.kind() == LayerKind::kFc) {
-        return simd_fc ? "simd" : "scalar";
-    }
-    return "";
-}
-
-} // namespace
-
-ExecutionPlan::ExecutionPlan(const Network &net, i64 begin, i64 end,
-                             Shape in_shape, PlanOptions opts)
-    : net_(&net),
-      begin_(begin),
-      end_(end),
-      in_shape_(in_shape),
-      out_shape_(in_shape),
-      opts_(opts)
+/**
+ * Compile layers [begin, end) of `net` for inputs of `in_shape`: the
+ * step sequence both plans execute. Every conv runs the im2col GEMM on
+ * exact_gemm_variant() (or a tuner pick under opts.tune) and absorbs
+ * a directly following ReLU.
+ */
+std::vector<CompiledStep>
+compile_steps(const Network &net, i64 begin, i64 end, Shape in_shape,
+              const PlanOptions &opts, const char *what)
 {
     require(begin >= 0 && end <= net.num_layers() && begin <= end,
-            "execution plan: bad layer range [" + std::to_string(begin) +
-                ", " + std::to_string(end) + ") for network " +
-                net.name());
+            std::string(what) + ": bad layer range [" +
+                std::to_string(begin) + ", " + std::to_string(end) +
+                ") for network " + net.name());
+    std::vector<CompiledStep> steps;
     Shape s = in_shape;
-    i64 parity = 0;
     for (i64 i = begin; i < end; ++i) {
         const Layer &layer = net.layer(i);
-        Step step;
+        CompiledStep step;
         step.layer = &layer;
         step.layer_index = i;
         step.out_shape = layer.out_shape(s);
-        step.out_slot = parity == 0 ? kActSlotA : kActSlotB;
         if (layer.kind() == LayerKind::kConv) {
-            step.conv_kernel = opts.conv_kernel;
-            if (step.conv_kernel == ConvKernel::kIm2colGemm) {
-                const WindowGeometry g = layer.geometry();
-                step.col_slot = kColSlot;
-                step.col_shape =
-                    Shape{1, s.c * g.kernel * g.kernel,
-                          im2col_ld(step.out_shape.h * step.out_shape.w)};
-                step.conv_variant = exact_gemm_variant();
-            }
-            if (opts.fuse_conv_relu && i + 1 < end &&
+            const WindowGeometry g = layer.geometry();
+            step.col_rows = s.c * g.kernel * g.kernel;
+            step.col_cols = step.out_shape.h * step.out_shape.w;
+            step.conv_variant = exact_gemm_variant();
+            if (i + 1 < end &&
                 net.layer(i + 1).kind() == LayerKind::kRelu) {
                 // ReLU preserves shape, so the fused step's output
                 // shape is the conv's.
                 step.fuse_relu = true;
                 ++i;
             }
-            if (opts.tune &&
-                step.conv_kernel == ConvKernel::kIm2colGemm) {
+            if (opts.tune) {
                 // After the fuse decision: fusion is part of the
                 // tuning key (it changes the kernel's epilogue).
-                const WindowGeometry g = layer.geometry();
                 step.conv_variant = tune_conv_gemm(
                     ConvGeometry{s.c, step.out_shape.c, g.kernel,
                                  g.stride, g.pad},
@@ -88,10 +61,40 @@ ExecutionPlan::ExecutionPlan(const Network &net, i64 begin, i64 end,
                                         opts.tune_budget_us);
         }
         s = step.out_shape;
-        parity ^= 1;
-        steps_.push_back(step);
+        steps.push_back(step);
     }
-    out_shape_ = s;
+    return steps;
+}
+
+/** The ForwardCtx one compiled step runs its layer under. */
+ForwardCtx
+step_ctx(const CompiledStep &step, Tensor *out, Tensor *scratch)
+{
+    ForwardCtx ctx;
+    ctx.out = out;
+    ctx.scratch = scratch;
+    ctx.conv_variant = step.conv_variant;
+    ctx.simd_fc = step.simd_fc;
+    ctx.fuse_relu = step.fuse_relu;
+    return ctx;
+}
+
+} // namespace
+
+ExecutionPlan::ExecutionPlan(const Network &net, i64 begin, i64 end,
+                             Shape in_shape, PlanOptions opts)
+    : net_(&net),
+      begin_(begin),
+      end_(end),
+      in_shape_(in_shape),
+      out_shape_(in_shape),
+      opts_(opts),
+      steps_(compile_steps(net, begin, end, in_shape, opts,
+                           "execution plan"))
+{
+    if (!steps_.empty()) {
+        out_shape_ = steps_.back().out_shape;
+    }
 }
 
 const Tensor &
@@ -110,27 +113,20 @@ ExecutionPlan::run(const Tensor &in, ScratchArena &arena) const
     // If the caller's input *is* the slot the first step would write
     // (e.g. chaining two plans through one arena), shift the
     // ping-pong parity so no step reads the tensor it is writing.
-    i64 flip = 0;
-    if (arena.peek(steps_.front().out_slot) == &in) {
-        flip = 1;
-    }
+    const i64 flip = arena.peek(0) == &in ? 1 : 0;
     const Tensor *cur = &in;
-    for (const Step &step : steps_) {
-        Tensor &out =
-            arena.slot(step.out_slot ^ flip, step.out_shape);
-        ForwardCtx ctx;
-        ctx.out = &out;
-        ctx.conv_kernel = step.conv_kernel;
-        ctx.conv_variant = step.conv_variant;
-        ctx.simd_fc = step.simd_fc;
-        ctx.fuse_relu = step.fuse_relu;
-        if (step.col_slot >= 0) {
-            // Pre-resolved im2col dimensions, so the kernel's own
-            // reshape_to is a no-op.
-            ctx.scratch =
-                &arena.slot(step.col_slot, step.col_shape);
-        }
-        step.layer->forward_into(*cur, ctx);
+    for (size_t k = 0; k < steps_.size(); ++k) {
+        const CompiledStep &step = steps_[k];
+        Tensor &out = arena.slot(static_cast<i64>(k & 1) ^ flip,
+                                 step.out_shape);
+        // Shaped exactly as the packer reshapes it, so the kernel's
+        // own reshape_to is a no-op.
+        Tensor *col = step.col_rows > 0
+                          ? &arena.slot(kColSlot,
+                                        Shape{1, step.col_rows,
+                                              im2col_ld(step.col_cols)})
+                          : nullptr;
+        step.layer->forward_into(*cur, step_ctx(step, &out, col));
         cur = &out;
     }
     return *cur;
@@ -152,67 +148,19 @@ BatchedExecutionPlan::BatchedExecutionPlan(const Network &net, i64 begin,
       in_shape_(in_shape),
       out_shape_(in_shape),
       max_batch_(max_batch),
-      opts_(opts)
+      opts_(opts),
+      // The same steps ExecutionPlan compiles, so a batched run
+      // executes exactly what the unbatched plan would.
+      steps_(compile_steps(net, begin, end, in_shape, opts,
+                           "batched plan"))
 {
-    require(begin >= 0 && end <= net.num_layers() && begin <= end,
-            "batched plan: bad layer range [" + std::to_string(begin) +
-                ", " + std::to_string(end) + ") for network " +
-                net.name());
     require(max_batch >= 1 && max_batch <= kMaxSuffixBatch,
             "batched plan: max_batch must be in [1, " +
                 std::to_string(kMaxSuffixBatch) + "], got " +
                 std::to_string(max_batch));
-    // The step sequence (shapes, kernel selection, conv+ReLU fusion)
-    // mirrors ExecutionPlan's compile loop exactly, so a batched run
-    // executes the same steps the unbatched plan would.
-    Shape s = in_shape;
-    i64 parity = 0;
-    for (i64 i = begin; i < end; ++i) {
-        const Layer &layer = net.layer(i);
-        Step step;
-        step.layer = &layer;
-        step.layer_index = i;
-        step.out_shape = layer.out_shape(s);
-        step.parity = parity;
-        if (layer.kind() == LayerKind::kConv) {
-            step.conv_kernel = opts.conv_kernel;
-            if (step.conv_kernel == ConvKernel::kIm2colGemm) {
-                const WindowGeometry g = layer.geometry();
-                step.batched_conv = true;
-                step.col_shape =
-                    Shape{1, s.c * g.kernel * g.kernel,
-                          step.out_shape.h * step.out_shape.w};
-                step.conv_variant = exact_gemm_variant();
-            }
-            if (opts.fuse_conv_relu && i + 1 < end &&
-                net.layer(i + 1).kind() == LayerKind::kRelu) {
-                step.fuse_relu = true;
-                ++i;
-            }
-            if (opts.tune &&
-                step.conv_kernel == ConvKernel::kIm2colGemm) {
-                // Same key as the unbatched plan (per-sample shape),
-                // so both agree on one variant per layer.
-                const WindowGeometry g = layer.geometry();
-                step.conv_variant = tune_conv_gemm(
-                    ConvGeometry{s.c, step.out_shape.c, g.kernel,
-                                 g.stride, g.pad},
-                    step.out_shape.h, step.out_shape.w, step.fuse_relu,
-                    opts.tune_budget_us);
-            }
-        } else if (layer.kind() == LayerKind::kFc) {
-            step.batched_fc = true;
-            if (opts.tune) {
-                step.simd_fc = tune_fc_simd(
-                    s.size(), step.out_shape.size(),
-                    opts.tune_budget_us);
-            }
-        }
-        s = step.out_shape;
-        parity ^= 1;
-        steps_.push_back(step);
+    if (!steps_.empty()) {
+        out_shape_ = steps_.back().out_shape;
     }
-    out_shape_ = s;
 }
 
 void
@@ -249,47 +197,38 @@ BatchedExecutionPlan::run(const Tensor *const *inputs, i64 n,
     Tensor *louts[kMaxSuffixBatch];
     for (i64 i = 0; i < n; ++i) {
         cur[i] = inputs[i];
-        flip[i] =
-            arena.peek(lane_slot(i, steps_.front().parity)) == inputs[i]
-                ? 1
-                : 0;
+        flip[i] = arena.peek(lane_slot(i, 0)) == inputs[i] ? 1 : 0;
     }
-    for (const Step &step : steps_) {
+    for (size_t k = 0; k < steps_.size(); ++k) {
+        const CompiledStep &step = steps_[k];
+        const i64 parity = static_cast<i64>(k & 1);
         for (i64 i = 0; i < n; ++i) {
-            louts[i] = &arena.slot(lane_slot(i, step.parity ^ flip[i]),
+            louts[i] = &arena.slot(lane_slot(i, parity ^ flip[i]),
                                    step.out_shape);
         }
-        if (step.batched_conv) {
+        const LayerKind kind = step.layer->kind();
+        if (kind == LayerKind::kConv) {
             const auto *conv =
                 static_cast<const ConvLayer *>(step.layer);
-            ConvGeometry g;
-            g.in_c = conv->in_channels();
-            g.out_c = conv->out_channels();
-            g.kernel = conv->kernel();
-            g.stride = conv->stride();
-            g.pad = conv->pad();
+            const ConvGeometry g{conv->in_channels(),
+                                 conv->out_channels(), conv->kernel(),
+                                 conv->stride(), conv->pad()};
             Tensor &col = arena.slot(
-                col_slot(), Shape{1, step.col_shape.h,
-                                  im2col_ld(n * step.col_shape.w)});
+                col_slot(),
+                Shape{1, step.col_rows, im2col_ld(n * step.col_cols)});
             Tensor &gemm_out = arena.slot(
-                gemm_slot(),
-                Shape{1, g.out_c, n * step.col_shape.w});
+                gemm_slot(), Shape{1, g.out_c, n * step.col_cols});
             conv_im2col_gemm_batched(cur, n, g, conv->weights().data(),
                                      conv->biases().data(), louts, col,
                                      gemm_out, step.fuse_relu,
                                      step.conv_variant);
-        } else if (step.batched_fc) {
+        } else if (kind == LayerKind::kFc) {
             static_cast<const FcLayer *>(step.layer)->forward_batched(
                 cur, n, louts, /*fuse_relu=*/false, step.simd_fc);
         } else {
             for (i64 i = 0; i < n; ++i) {
-                ForwardCtx ctx;
-                ctx.out = louts[i];
-                ctx.conv_kernel = step.conv_kernel;
-                ctx.conv_variant = step.conv_variant;
-                ctx.simd_fc = step.simd_fc;
-                ctx.fuse_relu = step.fuse_relu;
-                step.layer->forward_into(*cur[i], ctx);
+                step.layer->forward_into(
+                    *cur[i], step_ctx(step, louts[i], nullptr));
             }
         }
         for (i64 i = 0; i < n; ++i) {
@@ -306,17 +245,19 @@ ExecutionPlan::describe() const
 {
     std::vector<PlanStepInfo> out;
     out.reserve(steps_.size());
-    for (const Step &step : steps_) {
+    for (const CompiledStep &step : steps_) {
+        const LayerKind kind = step.layer->kind();
         PlanStepInfo info;
         info.layer_index = step.layer_index;
-        info.layer = step.layer->name().empty()
-                         ? layer_kind_name(step.layer->kind())
-                         : step.layer->name();
-        info.kernel = step.layer->kind() == LayerKind::kConv
-                          ? conv_kernel_name(step.conv_kernel)
-                          : layer_kind_name(step.layer->kind());
-        info.variant = step_variant(*step.layer, step.conv_kernel,
-                                    step.conv_variant, step.simd_fc);
+        info.layer = step.layer->name().empty() ? layer_kind_name(kind)
+                                                : step.layer->name();
+        info.kernel =
+            kind == LayerKind::kConv ? "im2col_gemm" : layer_kind_name(kind);
+        if (kind == LayerKind::kConv) {
+            info.variant = gemm_variant_name(step.conv_variant);
+        } else if (kind == LayerKind::kFc) {
+            info.variant = step.simd_fc ? "simd" : "scalar";
+        }
         info.fused_relu = step.fuse_relu;
         info.out = step.out_shape;
         out.push_back(std::move(info));

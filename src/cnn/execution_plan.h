@@ -2,23 +2,25 @@
  * @file
  * Planned, allocation-free execution of a layer range.
  *
- * Network::forward heap-allocates one tensor per layer per call; at
- * serving rates, with the suffix running on *every* frame (key or
- * predicted — Section II of the paper), that allocation traffic and
- * the naive direct convolution dominate per-frame cost. Compiling a
- * network for a fixed input shape removes both:
+ * Network::forward, the reference, heap-allocates one tensor per
+ * layer per call and runs the scalar kernels; at serving rates, with
+ * the suffix running on *every* frame (key or predicted — Section II
+ * of the paper), that allocation traffic and the scalar GEMM dominate
+ * per-frame cost. Compiling a network for a fixed input shape removes
+ * both:
  *
  *  - every layer's output shape is resolved once, at compile time;
  *  - each activation is assigned a slot in a caller-supplied
  *    ScratchArena (ping-pong between two slots, since each layer
  *    only reads its immediate predecessor), so steady-state frames
  *    allocate nothing;
- *  - a kernel is chosen per layer — convolutions run the im2col +
- *    blocked-GEMM kernel by default, on the bit-exact SIMD register
- *    tile wherever simd_supported() and on the scalar blocked tile
- *    otherwise (both bit-identical to the seed's direct loop, see
- *    conv_kernels.h), optionally fusing a following ReLU into the
- *    conv's output write.
+ *  - every conv runs the im2col + blocked-GEMM kernel on
+ *    exact_gemm_variant() — the bit-exact SIMD register tile wherever
+ *    simd_supported(), the scalar reference tile otherwise (see
+ *    conv_kernels.h) — and folds a directly following ReLU into its
+ *    output write. Both choices are bit-identical to Network::forward;
+ *    only `tune` (the `kernel=tuned` spec) trades bit-exactness for a
+ *    bounded-divergence fma tile or SIMD FC dot.
  *
  * A plan borrows its Network and is immutable after compilation, so
  * one plan may be shared by any number of threads, each running it
@@ -38,18 +40,6 @@ namespace eva2 {
 /** Compilation knobs for ExecutionPlan. */
 struct PlanOptions
 {
-    /**
-     * Convolution kernel to select for conv layers. kIm2colGemm runs
-     * exact_gemm_variant() (the bit-exact SIMD tile, or the scalar
-     * tile without SIMD); kDirect runs the seed's nested loop.
-     */
-    ConvKernel conv_kernel = ConvKernel::kIm2colGemm;
-    /**
-     * Fold each ReLU that immediately follows a conv into the conv's
-     * output write, eliding the ReLU pass and one buffer swap.
-     * Bit-identical to the separate pass.
-     */
-    bool fuse_conv_relu = true;
     /**
      * Autotune kernels per layer shape (the `kernel=tuned` registry
      * spec): at compile time every conv layer's GEMM micro-kernel
@@ -81,6 +71,31 @@ struct PlanStepInfo
     std::string variant;
     bool fused_relu = false;
     Shape out;            ///< Pre-resolved output shape.
+};
+
+/**
+ * One compiled step, as both plans store it. Step k of a plan writes
+ * ping-pong side k % 2. A conv step also folds a directly following
+ * ReLU (fuse_relu) and records its im2col dimensions.
+ */
+struct CompiledStep
+{
+    const Layer *layer = nullptr;
+    i64 layer_index = 0;
+    Shape out_shape;
+    /**
+     * GEMM variant of a conv step: exact_gemm_variant() unless
+     * opts.tune picks an fma tile. The contest runs on the per-sample
+     * shape, so the batched plan reuses the unbatched plan's pick for
+     * every batch size.
+     */
+    GemmVariant conv_variant = GemmVariant::kScalar;
+    /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
+    bool simd_fc = false;
+    bool fuse_relu = false;
+    /** im2col rows (taps) and per-sample columns; 0 unless conv. */
+    i64 col_rows = 0;
+    i64 col_cols = 0;
 };
 
 /**
@@ -148,31 +163,13 @@ class ExecutionPlan
     std::vector<PlanStepInfo> describe() const;
 
   private:
-    struct Step
-    {
-        const Layer *layer = nullptr;
-        i64 layer_index = 0;
-        Shape out_shape;
-        ConvKernel conv_kernel = ConvKernel::kDirect;
-        /** GEMM variant: exact_gemm_variant() unless opts.tune picks
-         * an fma tile. */
-        GemmVariant conv_variant = GemmVariant::kScalar;
-        /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
-        bool simd_fc = false;
-        bool fuse_relu = false;
-        i64 out_slot = 0;
-        i64 col_slot = -1; ///< im2col workspace slot, or -1.
-        /** Pre-resolved im2col dimensions {1, K, im2col_ld(N)}. */
-        Shape col_shape;
-    };
-
     const Network *net_;
     i64 begin_;
     i64 end_;
     Shape in_shape_;
     Shape out_shape_;
     PlanOptions opts_;
-    std::vector<Step> steps_;
+    std::vector<CompiledStep> steps_;
 };
 
 /**
@@ -259,28 +256,6 @@ class BatchedExecutionPlan
     const Network &network() const { return *net_; }
 
   private:
-    struct Step
-    {
-        const Layer *layer = nullptr;
-        i64 layer_index = 0;
-        Shape out_shape;
-        ConvKernel conv_kernel = ConvKernel::kDirect;
-        /** GEMM variant: exact_gemm_variant() unless opts.tune picks
-         * an fma tile. The contest runs on the per-sample shape; the
-         * batched GEMM reuses the pick for every batch size (same key
-         * as the unbatched plan, so both agree on one variant). */
-        GemmVariant conv_variant = GemmVariant::kScalar;
-        /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
-        bool simd_fc = false;
-        bool fuse_relu = false;
-        i64 parity = 0;    ///< Lane ping-pong side this step writes.
-        bool batched_conv = false; ///< conv_im2col_gemm_batched step.
-        bool batched_fc = false;   ///< FcLayer::forward_batched step.
-        /** Per-sample im2col dimensions {1, K, N}; a batch of n
-         * packs into {1, K, im2col_ld(n * N)}. */
-        Shape col_shape;
-    };
-
     /** Arena slot of lane `lane`'s ping-pong side `parity`. */
     i64
     lane_slot(i64 lane, i64 parity) const
@@ -298,7 +273,7 @@ class BatchedExecutionPlan
     Shape out_shape_;
     i64 max_batch_;
     PlanOptions opts_;
-    std::vector<Step> steps_;
+    std::vector<CompiledStep> steps_;
 };
 
 } // namespace eva2

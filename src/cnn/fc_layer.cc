@@ -81,16 +81,6 @@ FcLayer::out_shape(const Shape &in) const
     return Shape{out_dim_, 1, 1};
 }
 
-Tensor
-FcLayer::forward(const Tensor &in) const
-{
-    Tensor out(out_shape(in.shape()));
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
-    return out;
-}
-
 void
 FcLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
@@ -172,16 +162,6 @@ FcLayer::forward_batched(const Tensor *const *ins, i64 nb,
             }
         },
         ParallelForOptions{/*grain=*/8, /*pool=*/nullptr});
-}
-
-Tensor
-SoftmaxLayer::forward(const Tensor &in) const
-{
-    Tensor out(out_shape(in.shape()));
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
-    return out;
 }
 
 void

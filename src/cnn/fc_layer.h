@@ -27,7 +27,6 @@ class FcLayer : public Layer
      */
     FcLayer(i64 in_dim, i64 out_dim);
 
-    Tensor forward(const Tensor &in) const override;
     void forward_into(const Tensor &in,
                       const ForwardCtx &ctx) const override;
 
@@ -81,7 +80,6 @@ class FcLayer : public Layer
 class SoftmaxLayer : public Layer
 {
   public:
-    Tensor forward(const Tensor &in) const override;
     void forward_into(const Tensor &in,
                       const ForwardCtx &ctx) const override;
     Shape

@@ -2,8 +2,15 @@
  * @file
  * The abstract CNN layer interface.
  *
+ * A layer executes through one virtual entry point, forward_into,
+ * which writes into caller-owned storage under a ForwardCtx that
+ * selects the kernel. Every executor drives it: the reference
+ * Network::forward (default contexts, one fresh tensor per layer), the
+ * compiled ExecutionPlan (arena slots, the plan's kernel choices) and
+ * the batched suffix plan's per-sample steps.
+ *
  * AMC (Section II of the paper) depends on three per-layer properties
- * beyond plain forward execution: the layer's window geometry (kernel,
+ * beyond forward execution: the layer's window geometry (kernel,
  * stride, padding) for receptive-field propagation, whether the layer
  * is *spatial* (its output has a 2D relationship with the input, so
  * activation warping is meaningful), and its multiply-accumulate count
@@ -45,17 +52,6 @@ struct WindowGeometry
     i64 pad = 0;
 };
 
-/** Selectable convolution kernels (ExecutionPlan picks per layer). */
-enum class ConvKernel
-{
-    kDirect,     ///< The seed's direct loop: the bit-exactness reference.
-    kIm2colGemm, ///< im2col packing + blocked GEMM (same accumulation
-                 ///< order per output element, so bit-identical).
-};
-
-/** Printable name of a conv kernel. */
-const char *conv_kernel_name(ConvKernel kernel);
-
 /**
  * Hard upper bound on batched layer execution (the cross-stream
  * suffix batch size of BatchedExecutionPlan and the batched layer
@@ -67,10 +63,12 @@ const char *conv_kernel_name(ConvKernel kernel);
 constexpr i64 kMaxSuffixBatch = 64;
 
 /**
- * Execution context for allocation-free forwarding. The destination
- * (and any kernel workspace) is owned by the caller — in planned
- * execution, by a per-worker ScratchArena — so the layer writes in
- * place instead of returning a fresh tensor.
+ * Execution context of Layer::forward_into. The destination (and any
+ * kernel workspace) is owned by the caller — in planned execution, by
+ * a per-worker ScratchArena — so the layer writes in place instead of
+ * returning a fresh tensor. A default-constructed context (plus `out`)
+ * selects the reference kernels: the scalar GEMM conv tile, no fused
+ * ReLU, the scalar FC chain.
  */
 struct ForwardCtx
 {
@@ -83,17 +81,15 @@ struct ForwardCtx
      * guarantee for convenience.
      */
     Tensor *scratch = nullptr;
-    /** Which convolution kernel conv layers should run. */
-    ConvKernel conv_kernel = ConvKernel::kDirect;
     /**
      * Fold the following ReLU into this layer (plans set this when
      * they elide the ReLU step): the kernel writes max(acc, 0).
      */
     bool fuse_relu = false;
     /**
-     * GEMM micro-kernel variant for im2col conv. kScalar is the
-     * bit-exact reference and kExact its bit-identical SIMD form
-     * (the plans' default); the fma variants are tuner-selected by
+     * GEMM micro-kernel variant for the im2col conv. kScalar is the
+     * reference tile and kExact its bit-identical SIMD form (the
+     * plans' default); the fma variants are tuner-selected by
      * `kernel=tuned` plans and bounded-divergence. Every SIMD variant
      * requires simd_supported().
      */
@@ -107,34 +103,23 @@ struct ForwardCtx
 
 /**
  * Abstract base class for all layers. Layers are stateless with
- * respect to execution: forward() is const and may be called from
- * multiple frames/pipelines concurrently.
+ * respect to execution: forward_into() is const and may be called
+ * from multiple frames/pipelines concurrently.
  */
 class Layer
 {
   public:
     virtual ~Layer() = default;
 
-    /** Run the layer on one input activation. */
-    virtual Tensor forward(const Tensor &in) const = 0;
-
     /**
-     * Run the layer into caller-owned storage (see ForwardCtx). The
-     * built-in layers overwrite *ctx.out without allocating; this
-     * default covers external subclasses by falling back to
-     * forward(). `in` and `*ctx.out` must not alias.
+     * Run the layer on one input activation into caller-owned storage
+     * (see ForwardCtx): the layer's only execution entry point. It
+     * overwrites *ctx.out, which is already shaped to
+     * out_shape(in.shape()), without allocating. `in` and `*ctx.out`
+     * must not alias.
      */
-    virtual void
-    forward_into(const Tensor &in, const ForwardCtx &ctx) const
-    {
-        *ctx.out = forward(in);
-        if (ctx.fuse_relu) {
-            Tensor &out = *ctx.out;
-            for (i64 i = 0; i < out.size(); ++i) {
-                out[i] = out[i] > 0.0f ? out[i] : 0.0f;
-            }
-        }
-    }
+    virtual void forward_into(const Tensor &in,
+                              const ForwardCtx &ctx) const = 0;
 
     /** Output shape for a given input shape (without executing). */
     virtual Shape out_shape(const Shape &in) const = 0;

@@ -19,7 +19,12 @@ Network::forward(const Tensor &in, i64 begin, i64 end) const
     check_range(begin, end);
     Tensor act = in;
     for (i64 i = begin; i < end; ++i) {
-        act = layers_[static_cast<size_t>(i)]->forward(act);
+        const Layer &layer = *layers_[static_cast<size_t>(i)];
+        Tensor out(layer.out_shape(act.shape()));
+        ForwardCtx ctx;
+        ctx.out = &out;
+        layer.forward_into(act, ctx);
+        act = std::move(out);
     }
     return act;
 }
@@ -124,18 +129,6 @@ Network::find_layer(const std::string &name) const
         }
     }
     return -1;
-}
-
-const char *
-conv_kernel_name(ConvKernel kernel)
-{
-    switch (kernel) {
-      case ConvKernel::kDirect:
-        return "direct";
-      case ConvKernel::kIm2colGemm:
-        return "im2col_gemm";
-    }
-    return "unknown";
 }
 
 const char *

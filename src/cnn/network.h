@@ -54,6 +54,14 @@ class Network
     /**
      * Run layers [begin, end) on the given activation. The default
      * arguments execute the whole network.
+     *
+     * This is the reference execution every other path is tested
+     * against: each layer's forward_into with a default ForwardCtx
+     * (scalar GEMM conv tile, no fused ReLU, scalar FC chain), one
+     * freshly allocated tensor per layer. It recompiles nothing and
+     * caches nothing, so it suits tests, benches and one-off probes;
+     * repeated execution belongs to ExecutionPlan, whose default
+     * kernels are bit-identical to it.
      */
     Tensor forward(const Tensor &in, i64 begin = 0, i64 end = -1) const;
 

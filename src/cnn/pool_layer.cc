@@ -21,16 +21,6 @@ MaxPoolLayer::out_shape(const Shape &in) const
                  conv_out_size(in.w, kernel_, stride_, pad_)};
 }
 
-Tensor
-MaxPoolLayer::forward(const Tensor &in) const
-{
-    Tensor out(out_shape(in.shape()));
-    ForwardCtx ctx;
-    ctx.out = &out;
-    forward_into(in, ctx);
-    return out;
-}
-
 void
 MaxPoolLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {

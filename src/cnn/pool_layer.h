@@ -18,7 +18,6 @@ class MaxPoolLayer : public Layer
   public:
     MaxPoolLayer(i64 kernel, i64 stride, i64 pad = 0);
 
-    Tensor forward(const Tensor &in) const override;
     void forward_into(const Tensor &in,
                       const ForwardCtx &ctx) const override;
     Shape out_shape(const Shape &in) const override;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cnn/conv_layer.h"
+#include "cnn/execution_plan.h"
 #include "cnn/fc_layer.h"
 
 namespace eva2 {
@@ -251,14 +252,21 @@ calibrate_activations(Network &net, u64 seed, double target_sparsity)
     }
     i64 conv_index = 0;
 
+    // Each layer runs as its own one-step plan on a local arena. A
+    // one-layer conv plan has no ReLU to fuse, so `outs` below are the
+    // pre-activations the bias shift needs; the plan's default GEMM
+    // tile is bit-identical to the reference conv, and the arena's
+    // memory is released when calibration returns.
+    ScratchArena arena;
     for (i64 i = 0; i < net.num_layers(); ++i) {
         Layer &l = net.layer(i);
+        if (!l.spatial()) {
+            break; // FC head needs no spatial calibration.
+        }
+        const ExecutionPlan plan(net, i, i + 1, acts[0].shape());
         if (l.kind() != LayerKind::kConv) {
-            if (!l.spatial()) {
-                break; // FC head needs no spatial calibration.
-            }
             for (Tensor &act : acts) {
-                act = l.forward(act);
+                act = plan.run(act, arena);
             }
             continue;
         }
@@ -273,7 +281,7 @@ calibrate_activations(Network &net, u64 seed, double target_sparsity)
         std::vector<Tensor> outs;
         outs.reserve(acts.size());
         for (const Tensor &act : acts) {
-            outs.push_back(conv.forward(act));
+            outs.push_back(plan.run(act, arena));
         }
 
         // Per-channel bias shift: place the ReLU threshold at the

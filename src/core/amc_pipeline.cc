@@ -69,22 +69,4 @@ AmcPipeline::run_predicted(const Tensor &frame)
         plan_.run_front_predicted(frame, 0, arena(), observer_));
 }
 
-Tensor
-AmcPipeline::predicted_activation(const Tensor &frame)
-{
-    require(plan_.has_key_frame(),
-            "predicted_activation: no stored key frame");
-    if (plan_.options().motion_mode == MotionMode::kMemoization) {
-        return plan_.stored_activation();
-    }
-    const RfbmeResult me =
-        rfbme(plan_.key_pixels(), frame, plan_.rfbme_config());
-    const Tensor &key_activation = plan_.stored_activation();
-    const MotionField field = fit_field(
-        me.field, key_activation.height(), key_activation.width());
-    return warp_activation(key_activation, field,
-                           plan_.target_rf().stride,
-                           plan_.options().interp);
-}
-
 } // namespace eva2

@@ -70,12 +70,6 @@ class AmcPipeline
     /** Force-run a predicted frame; requires a stored key frame. */
     AmcFrameResult run_predicted(const Tensor &frame);
 
-    /**
-     * Produce only the warped target activation for a frame (no
-     * suffix execution); requires a stored key frame.
-     */
-    Tensor predicted_activation(const Tensor &frame);
-
     /** Drop stored state and counters for a new stream. */
     void reset();
 

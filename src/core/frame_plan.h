@@ -107,9 +107,9 @@ struct AmcOptions
      */
     double storage_prune_rel = 0.12;
     /**
-     * CNN execution plan compilation options (kernel selection,
-     * conv+ReLU fusion). The default — im2col/blocked-GEMM convs
-     * with fusion — is bit-identical to the seed direct path.
+     * CNN execution plan compilation options (autotuning). The
+     * default — bit-exact im2col/blocked-GEMM convs with fused ReLU —
+     * is bit-identical to the reference Network::forward.
      */
     PlanOptions plan;
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cnn/execution_plan.h"
 #include "eval/retrain.h"
 #include "video/scenarios.h"
 
@@ -11,7 +12,8 @@ PrototypeClassifier
 PrototypeClassifier::calibrate(const Network &net, u64 seed)
 {
     PrototypeClassifier clf;
-    const i64 target = net.default_target_index();
+    const ExecutionPlan prefix(net, 0, net.default_target_index() + 1,
+                               net.input_shape());
     for (i64 cls = 0; cls < kNumClasses; ++cls) {
         // Average several scene variants (different backgrounds,
         // object placements and sizes) so the prototype captures the
@@ -24,7 +26,7 @@ PrototypeClassifier::calibrate(const Network &net, u64 seed)
             const SyntheticVideo video(cfg);
             for (i64 t : {0, 7}) {
                 const std::vector<float> f = pooled_features(
-                    net.forward_prefix(video.render(t).image, target));
+                    prefix.forward(video.render(t).image));
                 if (proto.empty()) {
                     proto.assign(f.size(), 0.0);
                 }

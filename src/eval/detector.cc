@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "cnn/execution_plan.h"
 #include "video/scenarios.h"
 
 namespace eva2 {
@@ -109,8 +110,10 @@ ActivationDetector::calibrate(const Network &net, i64 target_layer,
     std::vector<LabeledFeatures> object_cells;
     std::vector<LabeledFeatures> background_cells;
 
+    const ExecutionPlan prefix(net, 0, target_layer + 1,
+                               net.input_shape());
     auto harvest = [&](const LabeledFrame &frame) {
-        const Tensor act = net.forward_prefix(frame.image, target_layer);
+        const Tensor act = prefix.forward(frame.image);
         for (i64 y = 0; y < act.height(); ++y) {
             const double cy = det.cell_center(y);
             for (i64 x = 0; x < act.width(); ++x) {

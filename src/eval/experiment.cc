@@ -27,23 +27,37 @@ motion_source_name(MotionSource source)
     return "unknown";
 }
 
+namespace {
+
+/** The compiled prefix [0, layer] for frames of the network's input
+ * shape. */
+ExecutionPlan
+prefix_plan(const Network &net, i64 layer)
+{
+    return ExecutionPlan(net, 0, layer + 1, net.input_shape());
+}
+
+/**
+ * predict_target_activation over a compiled prefix plan, whose last
+ * layer is the target. Callers that predict many frames compile the
+ * plan once and reuse it.
+ */
 Tensor
-predict_target_activation(const Network &net, i64 target_layer,
-                          const Tensor &key_frame,
-                          const Tensor &current_frame, MotionSource source,
-                          InterpMode interp, i64 search_radius,
-                          i64 search_stride)
+predict_with(const ExecutionPlan &prefix, const Tensor &key_frame,
+             const Tensor &current_frame, MotionSource source,
+             InterpMode interp, i64 search_radius, i64 search_stride)
 {
     if (source == MotionSource::kNewKey) {
-        return net.forward_prefix(current_frame, target_layer);
+        return prefix.forward(current_frame);
     }
 
-    const Tensor key_act = net.forward_prefix(key_frame, target_layer);
+    const Tensor key_act = prefix.forward(key_frame);
     if (source == MotionSource::kOldKey) {
         return key_act;
     }
 
-    const ReceptiveField rf = net.receptive_field_at(target_layer);
+    const ReceptiveField rf =
+        prefix.network().receptive_field_at(prefix.end() - 1);
     MotionField field;
     switch (source) {
       case MotionSource::kRfbme: {
@@ -77,21 +91,20 @@ predict_target_activation(const Network &net, i64 target_layer,
     return warp_activation(key_act, field, rf.stride, interp);
 }
 
+/** The LabeledFrame form of predict_with (adds kOracleMotion). */
 Tensor
-predict_target_activation(const Network &net, i64 target_layer,
-                          const LabeledFrame &key_frame,
-                          const LabeledFrame &current_frame,
-                          MotionSource source, InterpMode interp,
-                          i64 search_radius, i64 search_stride)
+predict_with(const ExecutionPlan &prefix, const LabeledFrame &key_frame,
+             const LabeledFrame &current_frame, MotionSource source,
+             InterpMode interp, i64 search_radius, i64 search_stride)
 {
     if (source != MotionSource::kOracleMotion) {
-        return predict_target_activation(
-            net, target_layer, key_frame.image, current_frame.image,
-            source, interp, search_radius, search_stride);
+        return predict_with(prefix, key_frame.image, current_frame.image,
+                            source, interp, search_radius,
+                            search_stride);
     }
-    const Tensor key_act =
-        net.forward_prefix(key_frame.image, target_layer);
-    const ReceptiveField rf = net.receptive_field_at(target_layer);
+    const Tensor key_act = prefix.forward(key_frame.image);
+    const ReceptiveField rf =
+        prefix.network().receptive_field_at(prefix.end() - 1);
     const MotionField dense =
         oracle_backward_motion(key_frame, current_frame);
     MotionField field =
@@ -99,6 +112,32 @@ predict_target_activation(const Network &net, i64 target_layer,
                         rf.size, rf.stride, rf.pad);
     field = fit_field(field, key_act.height(), key_act.width());
     return warp_activation(key_act, field, rf.stride, interp);
+}
+
+} // namespace
+
+Tensor
+predict_target_activation(const Network &net, i64 target_layer,
+                          const Tensor &key_frame,
+                          const Tensor &current_frame, MotionSource source,
+                          InterpMode interp, i64 search_radius,
+                          i64 search_stride)
+{
+    return predict_with(prefix_plan(net, target_layer), key_frame,
+                        current_frame, source, interp, search_radius,
+                        search_stride);
+}
+
+Tensor
+predict_target_activation(const Network &net, i64 target_layer,
+                          const LabeledFrame &key_frame,
+                          const LabeledFrame &current_frame,
+                          MotionSource source, InterpMode interp,
+                          i64 search_radius, i64 search_stride)
+{
+    return predict_with(prefix_plan(net, target_layer), key_frame,
+                        current_frame, source, interp, search_radius,
+                        search_stride);
 }
 
 GapDetectionResult
@@ -120,6 +159,10 @@ detection_at_gap(const Network &net, const ActivationDetector &detector,
     require(gap_frames >= 1, "detection_at_gap: gap must be >= 1");
     require(step >= 1, "detection_at_gap: step must be >= 1");
 
+    const ExecutionPlan readout = prefix_plan(net, readout_layer);
+    const ExecutionPlan prefix = prefix_plan(net, target_layer);
+    const ExecutionPlan between(net, target_layer + 1, readout_layer + 1,
+                                prefix.out_shape());
     std::vector<Detection> dets;
     std::vector<Detection> oracle_dets;
     std::vector<GtBox> truths;
@@ -131,19 +174,11 @@ detection_at_gap(const Network &net, const ActivationDetector &detector,
         for (i64 t = 0; t + gap_frames < seq.size(); t += step) {
             const LabeledFrame &key = seq[t];
             const LabeledFrame &cur = seq[t + gap_frames];
-            const Tensor oracle =
-                net.forward_prefix(cur.image, readout_layer);
-            Tensor predicted =
-                source == MotionSource::kNewKey
-                    ? net.forward_prefix(cur.image, target_layer)
-                    : predict_target_activation(net, target_layer, key,
-                                                cur, source, interp,
-                                                search_radius,
-                                                search_stride);
-            if (target_layer < readout_layer) {
-                predicted = net.forward(predicted, target_layer + 1,
-                                        readout_layer + 1);
-            }
+            const Tensor oracle = readout.forward(cur.image);
+            const Tensor predicted =
+                between.forward(predict_with(prefix, key, cur, source,
+                                             interp, search_radius,
+                                             search_stride));
 
             const std::vector<Detection> frame_dets =
                 detector.detect(predicted, frame_id);
@@ -186,6 +221,10 @@ classification_at_gap(const Network &net,
             "classification_at_gap: target must precede the read-out");
     require(gap_frames >= 1, "classification_at_gap: gap must be >= 1");
 
+    const ExecutionPlan readout = prefix_plan(net, readout_layer);
+    const ExecutionPlan prefix = prefix_plan(net, target_layer);
+    const ExecutionPlan between(net, target_layer + 1, readout_layer + 1,
+                                prefix.out_shape());
     GapClassificationResult result;
     std::vector<i64> predicted_labels;
     std::vector<i64> truth_labels;
@@ -195,14 +234,10 @@ classification_at_gap(const Network &net,
         for (i64 t = 0; t + gap_frames < seq.size(); t += step) {
             const LabeledFrame &key = seq[t];
             const LabeledFrame &cur = seq[t + gap_frames];
-            Tensor predicted_act = predict_target_activation(
-                net, target_layer, key, cur, source);
-            if (target_layer < readout_layer) {
-                predicted_act = net.forward(
-                    predicted_act, target_layer + 1, readout_layer + 1);
-            }
-            const Tensor oracle_act =
-                net.forward_prefix(cur.image, readout_layer);
+            const Tensor predicted_act = between.forward(predict_with(
+                prefix, key, cur, source, InterpMode::kBilinear,
+                /*search_radius=*/28, /*search_stride=*/2));
+            const Tensor oracle_act = readout.forward(cur.image);
 
             predicted_labels.push_back(classifier.classify(predicted_act));
             oracle_labels.push_back(classifier.classify(oracle_act));
@@ -313,13 +348,13 @@ baseline_detection_map(const Network &net,
     if (target_layer < 0) {
         target_layer = net.default_target_index();
     }
+    const ExecutionPlan prefix = prefix_plan(net, target_layer);
     std::vector<Detection> dets;
     std::vector<GtBox> truths;
     i64 frame_id = 0;
     for (const Sequence &seq : sequences) {
         for (i64 t = 0; t < seq.size(); ++t) {
-            const Tensor act =
-                net.forward_prefix(seq[t].image, target_layer);
+            const Tensor act = prefix.forward(seq[t].image);
             for (Detection d : detector.detect(act, frame_id)) {
                 dets.push_back(d);
             }
@@ -337,12 +372,14 @@ baseline_classification_accuracy(const Network &net,
                                  const PrototypeClassifier &classifier,
                                  const std::vector<Sequence> &sequences)
 {
+    const ExecutionPlan prefix =
+        prefix_plan(net, net.default_target_index());
     std::vector<i64> predicted;
     std::vector<i64> truth;
     for (const Sequence &seq : sequences) {
         for (i64 t = 0; t < seq.size(); ++t) {
-            predicted.push_back(classifier.classify(net.forward_prefix(
-                seq[t].image, net.default_target_index())));
+            predicted.push_back(
+                classifier.classify(prefix.forward(seq[t].image)));
             truth.push_back(seq[t].truth.dominant_class);
         }
     }

@@ -24,6 +24,17 @@
 namespace eva2 {
 namespace {
 
+/** Run one layer through its entry point under a reference context. */
+Tensor
+run(const Layer &layer, const Tensor &in)
+{
+    Tensor out(layer.out_shape(in.shape()));
+    ForwardCtx ctx;
+    ctx.out = &out;
+    layer.forward_into(in, ctx);
+    return out;
+}
+
 /** The 3x3 input image of the paper's Figure 4a. */
 Tensor
 figure4_image()
@@ -48,7 +59,7 @@ figure4_conv()
 TEST(ConvLayer, Figure4aReference)
 {
     // conv 3x3 s=1 (with pad 1 to keep 3x3 output as in the figure).
-    Tensor out = figure4_conv().forward(figure4_image());
+    Tensor out = run(figure4_conv(), figure4_image());
     Tensor expect(1, 3, 3);
     expect.at(0, 0, 0) = 2.0f;
     expect.at(0, 1, 0) = 2.0f;
@@ -61,17 +72,17 @@ TEST(ConvLayer, Figure4bTranslationCommutes)
     // Figure 4b: translating the image right by 2 translates the conv
     // output right by 2.
     ConvLayer conv = figure4_conv();
-    Tensor base = conv.forward(figure4_image());
-    Tensor moved = conv.forward(translate(figure4_image(), 0, 2));
+    Tensor base = run(conv, figure4_image());
+    Tensor moved = run(conv, translate(figure4_image(), 0, 2));
     EXPECT_TRUE(all_close(moved, translate(base, 0, 2), 1e-6));
 }
 
 TEST(MaxPool, Figure4aReference)
 {
     // 2x2 max pool with stride 1 on the conv output of Figure 4a.
-    Tensor conv_out = figure4_conv().forward(figure4_image());
+    Tensor conv_out = run(figure4_conv(), figure4_image());
     MaxPoolLayer pool(2, 1);
-    Tensor out = pool.forward(conv_out);
+    Tensor out = run(pool, conv_out);
     EXPECT_EQ(out.height(), 2);
     EXPECT_EQ(out.width(), 2);
     EXPECT_FLOAT_EQ(out.at(0, 0, 0), 2.0f);
@@ -125,7 +136,7 @@ TEST(MaxPool, ClampedWindowsMatchPerTapLoop)
                         }
                     }
                 }
-                const Tensor got = pool.forward(in);
+                const Tensor got = run(pool, in);
                 ASSERT_EQ(got.shape(), os);
                 EXPECT_EQ(std::memcmp(got.data().data(),
                                       want.data().data(),
@@ -147,13 +158,13 @@ TEST(MaxPool, Figure4ePoolingBreaksCommutativity)
     Tensor img = figure4_image();
     Tensor moved_img = translate(img, 0, 1);
 
-    Tensor conv_base = conv.forward(img);
-    Tensor conv_moved = conv.forward(moved_img);
+    Tensor conv_base = run(conv, img);
+    Tensor conv_moved = run(conv, moved_img);
     EXPECT_TRUE(all_close(conv_moved, translate(conv_base, 0, 1), 1e-6))
         << "conv layer should commute with the 1px translation";
 
-    Tensor pooled_base = pool.forward(conv_base);
-    Tensor pooled_moved = pool.forward(conv_moved);
+    Tensor pooled_base = run(pool, conv_base);
+    Tensor pooled_moved = run(pool, conv_moved);
     EXPECT_FALSE(
         all_close(pooled_moved, translate(pooled_base, 0, 1), 1e-6))
         << "pooling should break exact commutativity (Figure 4e)";
@@ -175,7 +186,7 @@ TEST(ConvLayer, BiasApplied)
     conv.biases()[0] = 0.5f;
     Tensor in(1, 1, 1);
     in[0] = 3.0f;
-    EXPECT_FLOAT_EQ(conv.forward(in)[0], 6.5f);
+    EXPECT_FLOAT_EQ(run(conv, in)[0], 6.5f);
 }
 
 TEST(ConvLayer, RejectsWrongChannelCount)
@@ -190,7 +201,7 @@ TEST(ReluLayer, Elementwise)
     Tensor in(1, 1, 2);
     in[0] = -2.0f;
     in[1] = 2.0f;
-    Tensor out = relu_layer.forward(in);
+    Tensor out = run(relu_layer, in);
     EXPECT_EQ(out[0], 0.0f);
     EXPECT_EQ(out[1], 2.0f);
 }
@@ -202,7 +213,7 @@ TEST(LrnLayer, NormalizesAcrossChannels)
     in[0] = 1.0f;
     in[1] = 1.0f;
     in[2] = 1.0f;
-    Tensor out = lrn.forward(in);
+    Tensor out = run(lrn, in);
     // All channels identical, so outputs stay equal and < input.
     EXPECT_NEAR(out[0], out[1], 1e-6);
     EXPECT_LT(out[0], 1.0f);
@@ -222,7 +233,7 @@ TEST(FcLayer, MatrixVectorProduct)
     in[0] = 1.0f;
     in[1] = 0.0f;
     in[2] = 2.0f;
-    Tensor out = fc.forward(in);
+    Tensor out = run(fc, in);
     EXPECT_FLOAT_EQ(out[0], 1.0f + 1.0f + 6.0f);
     EXPECT_FLOAT_EQ(out[1], -1.0f + 4.0f + 12.0f);
 }
@@ -241,7 +252,7 @@ TEST(SoftmaxLayer, NormalizesToOne)
     in[0] = 1.0f;
     in[1] = 2.0f;
     in[2] = 3.0f;
-    Tensor out = sm.forward(in);
+    Tensor out = run(sm, in);
     double total = 0.0;
     for (i64 i = 0; i < 3; ++i) {
         total += out[i];
@@ -469,6 +480,49 @@ TEST(Weights, FirstLayerBankNormalized)
         }
         EXPECT_NEAR(mean, 0.0, 1e-4) << "filter " << oc;
     }
+}
+
+/** FNV-1a over the bit patterns of every conv's weights, then biases. */
+u64
+conv_params_digest(const Network &net)
+{
+    u64 hash = 1469598103934665603ull;
+    auto fold = [&hash](const std::vector<float> &xs) {
+        for (const float v : xs) {
+            u32 bits;
+            std::memcpy(&bits, &v, sizeof(bits));
+            for (int b = 0; b < 4; ++b) {
+                hash ^= (bits >> (8 * b)) & 0xffu;
+                hash *= 1099511628211ull;
+            }
+        }
+    };
+    for (i64 i = 0; i < net.num_layers(); ++i) {
+        if (net.layer(i).kind() == LayerKind::kConv) {
+            const auto &conv = static_cast<const ConvLayer &>(net.layer(i));
+            fold(conv.weights());
+            fold(conv.biases());
+        }
+    }
+    return hash;
+}
+
+TEST(Weights, CalibratedConvParametersArePinned)
+{
+    // Calibration runs each conv on stimuli and rescales its weights
+    // from the measured pre-activations, so any change in how it
+    // executes layers shows up here. Every bit-exact conv path must
+    // reproduce these constants, with and without SIMD.
+    const Network faster16 = build_scaled(faster16_spec());
+    EXPECT_EQ(conv_params_digest(faster16), 0xd9f4af60b1ff23a9ull)
+        << std::hex << conv_params_digest(faster16);
+
+    ScaledBuildOptions opts;
+    opts.input = Shape{1, 80, 80};
+    opts.fc_dim = 2048;
+    const Network alexnet = build_scaled(alexnet_spec(), opts);
+    EXPECT_EQ(conv_params_digest(alexnet), 0x4e2b650c36ce1cd8ull)
+        << std::hex << conv_params_digest(alexnet);
 }
 
 /** Property: every spec's analyze() matches the scaled network's

@@ -340,14 +340,14 @@ TEST_F(PipelineTest, CompensationTracksMotionBetterThanMemoization)
     AmcPipeline warped(net_, std::make_unique<StaticRatePolicy>(100),
                        warp_opts);
     warped.run_key(video.render(0).image);
-    Tensor w = warped.predicted_activation(video.render(4).image);
+    Tensor w = warped.run_predicted(video.render(4).image).target_activation;
 
     AmcOptions memo_opts = options();
     memo_opts.motion_mode = MotionMode::kMemoization;
     AmcPipeline memo(net_, std::make_unique<StaticRatePolicy>(100),
                      memo_opts);
     memo.run_key(video.render(0).image);
-    Tensor m = memo.predicted_activation(video.render(4).image);
+    Tensor m = memo.run_predicted(video.render(4).image).target_activation;
 
     // Compare on the interior (border cells are boundary-dominated).
     auto interior_err = [&](const Tensor &a) {
@@ -449,8 +449,10 @@ TEST_F(PipelineTest, PrunedStorageStillPredictsWell)
     AmcPipeline b(net_, std::make_unique<StaticRatePolicy>(100), pruned);
     a.process(video.render(0).image);
     b.process(video.render(0).image);
-    const Tensor pa = a.predicted_activation(video.render(2).image);
-    const Tensor pb = b.predicted_activation(video.render(2).image);
+    const Tensor pa =
+        a.run_predicted(video.render(2).image).target_activation;
+    const Tensor pb =
+        b.run_predicted(video.render(2).image).target_activation;
 
     double num = 0.0;
     double den = 0.0;

@@ -344,7 +344,7 @@ small_config(const std::string &policy, i64 depth, i64 threads)
 
 /**
  * The acceptance sweep: for every scenario kind in the multi-stream
- * serving set, every key-frame policy, and both CNN kernels, the
+ * serving set, every key-frame policy, and both kernel specs, the
  * pipelined FramePlan path must reproduce the serial reference
  * engine's (one thread, depth 1, batch off) per-stream digests bit
  * for bit.
@@ -368,7 +368,8 @@ TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
         "adaptive_error:th=0.05,max_gap=6",
         "adaptive_motion:th=60,max_gap=6",
     };
-    const std::vector<std::string> kernels = {"gemm", "direct"};
+    const std::vector<std::string> kernels = {"gemm",
+                                              "tuned:budget_us=1000"};
 
     for (const std::string &policy : policies) {
         for (const std::string &kernel : kernels) {

@@ -334,7 +334,7 @@ TEST(NetServer, LoopbackDigestsMatchInProcessAcrossConfigs)
     };
     const Case cases[] = {
         {"static:interval=2", "gemm", 1},
-        {"static:interval=2", "direct", 1},
+        {"static:interval=2", "tuned:budget_us=1000", 1},
         {"adaptive_error:th=0.05,max_gap=8", "gemm", 1},
         {"static:interval=2", "gemm", 2},
     };

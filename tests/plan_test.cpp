@@ -4,13 +4,13 @@
  * scratch-arena reuse, and the im2col/blocked-GEMM conv kernel (its
  * packer and the packed matrix's padded leading dimension included).
  *
- * The central property is *bit-exactness*: the planned paths (direct
- * or GEMM, fused or not, through the pipeline or the Engine) must
- * reproduce the seed's Network::forward outputs bit for bit, so every
- * parity assertion here uses exact tensor equality or digests, never
- * tolerances. The second property is *zero steady-state allocation*:
- * once arena slots have grown, planned execution must stop touching
- * the heap.
+ * The central property is *bit-exactness*: the planned paths (the
+ * default GEMM tile, fused with ReLU, batched or not, through the
+ * pipeline or the Engine) must reproduce the reference
+ * Network::forward outputs bit for bit, so every parity assertion
+ * here uses exact tensor equality or digests, never tolerances. The
+ * second property is *zero steady-state allocation*: once arena slots
+ * have grown, planned execution must stop touching the heap.
  */
 #include <gtest/gtest.h>
 
@@ -95,7 +95,7 @@ class ConvParity : public ::testing::TestWithParam<ConvCase>
 {
 };
 
-TEST_P(ConvParity, GemmAndDirectPlansMatchSeedBitExactly)
+TEST_P(ConvParity, GemmPlanMatchesSeedBitExactly)
 {
     const ConvCase &c = GetParam();
     const Network net =
@@ -103,14 +103,7 @@ TEST_P(ConvParity, GemmAndDirectPlansMatchSeedBitExactly)
     const Tensor in = random_tensor(c.input, 99);
     const Tensor seed_out = net.forward(in);
 
-    PlanOptions direct;
-    direct.conv_kernel = ConvKernel::kDirect;
-    PlanOptions gemm;
-    gemm.conv_kernel = ConvKernel::kIm2colGemm;
-
-    const Tensor via_direct = ExecutionPlan(net, direct).forward(in);
-    const Tensor via_gemm = ExecutionPlan(net, gemm).forward(in);
-    EXPECT_TRUE(seed_out == via_direct) << c.label;
+    const Tensor via_gemm = ExecutionPlan(net).forward(in);
     EXPECT_TRUE(seed_out == via_gemm) << c.label;
 }
 
@@ -122,27 +115,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ExecutionPlan, FusedConvReluMatchesSeparatePasses)
 {
+    // The reference runs conv and ReLU as two passes; the plan folds
+    // the ReLU into the conv's output write.
     const Network net =
         conv_net({6, 14, 14}, 10, 3, 1, 1, 5, /*with_relu=*/true);
     const Tensor in = random_tensor(net.input_shape(), 6);
     const Tensor seed_out = net.forward(in);
 
-    for (const ConvKernel kernel :
-         {ConvKernel::kDirect, ConvKernel::kIm2colGemm}) {
-        PlanOptions fused;
-        fused.conv_kernel = kernel;
-        fused.fuse_conv_relu = true;
-        PlanOptions unfused;
-        unfused.conv_kernel = kernel;
-        unfused.fuse_conv_relu = false;
-
-        const ExecutionPlan fused_plan(net, fused);
-        EXPECT_EQ(fused_plan.num_steps(), 1); // ReLU step elided.
-        EXPECT_TRUE(seed_out == fused_plan.forward(in));
-        const ExecutionPlan unfused_plan(net, unfused);
-        EXPECT_EQ(unfused_plan.num_steps(), 2);
-        EXPECT_TRUE(seed_out == unfused_plan.forward(in));
-    }
+    const ExecutionPlan fused_plan(net);
+    EXPECT_EQ(fused_plan.num_steps(), 1); // ReLU step elided.
+    EXPECT_TRUE(seed_out == fused_plan.forward(in));
 }
 
 TEST(ExecutionPlan, ModelZooNetworkMatchesSeedBitExactly)
@@ -156,11 +138,6 @@ TEST(ExecutionPlan, ModelZooNetworkMatchesSeedBitExactly)
     const Tensor seed_out = net.forward(in);
 
     EXPECT_TRUE(seed_out == ExecutionPlan(net).forward(in));
-
-    PlanOptions direct;
-    direct.conv_kernel = ConvKernel::kDirect;
-    direct.fuse_conv_relu = false;
-    EXPECT_TRUE(seed_out == ExecutionPlan(net, direct).forward(in));
 }
 
 TEST(ExecutionPlan, ChainedPrefixSuffixPlansShareOneArena)
@@ -213,15 +190,6 @@ TEST(ExecutionPlan, DescribeReportsKernelSelectionAndFusion)
     EXPECT_EQ(gemm_steps[0].kernel, "im2col_gemm");
     EXPECT_TRUE(gemm_steps[0].fused_relu);
     EXPECT_EQ(gemm_steps[1].kernel, "pool");
-
-    PlanOptions opts;
-    opts.conv_kernel = ConvKernel::kDirect;
-    opts.fuse_conv_relu = false;
-    const auto direct_steps = ExecutionPlan(net, opts).describe();
-    ASSERT_EQ(direct_steps.size(), 3u);
-    EXPECT_EQ(direct_steps[0].kernel, "direct");
-    EXPECT_FALSE(direct_steps[0].fused_relu);
-    EXPECT_EQ(direct_steps[1].kernel, "relu");
 }
 
 // --------------------------------------------------------------------
@@ -318,7 +286,7 @@ TEST(ExecutionPlan, PaddedLeadingDimensionMatchesSeedBitExactly)
 {
     // A 32x32 output plane packs 1024 columns, so its im2col rows get
     // the padded leading dimension; the planned GEMM (default
-    // variant) must still equal the seed's direct loop.
+    // variant) must still equal the reference Network::forward.
     const Network net = conv_net({3, 32, 32}, 10, 3, 1, 1, 41,
                                  /*with_relu=*/true);
     const Tensor in = random_tensor(net.input_shape(), 43);
@@ -456,7 +424,7 @@ TEST(AmcPipeline, ObserverReceivesCompiledPlanRecords)
     EXPECT_EQ(me.variant, simd_supported() ? "simd" : "scalar");
 }
 
-TEST(Engine, GemmAndDirectKernelsProduceIdenticalDigests)
+TEST(Engine, RunAndSessionsProduceIdenticalDigests)
 {
     ScaledBuildOptions build;
     build.input = Shape{1, 64, 64};
@@ -464,29 +432,29 @@ TEST(Engine, GemmAndDirectKernelsProduceIdenticalDigests)
     const std::vector<Sequence> streams =
         multi_stream_set(13, 2, 5, 64);
 
-    EngineConfig direct;
-    direct.kernel = "direct";
-    direct.policy = "adaptive_error:th=0.02,max_gap=4";
-    direct.num_threads = 1;
-    Engine direct_engine(net, direct);
-    const RunReport direct_report = direct_engine.run(streams);
+    EngineConfig serial;
+    serial.kernel = "gemm";
+    serial.policy = "adaptive_error:th=0.02,max_gap=4";
+    serial.num_threads = 1;
+    Engine serial_engine(net, serial);
+    const RunReport serial_report = serial_engine.run(streams);
 
     EngineConfig gemm;
     gemm.kernel = "gemm";
     gemm.policy = "adaptive_error:th=0.02,max_gap=4";
     gemm.num_threads = 2;
     Engine gemm_engine(net, gemm);
-    // Feed the GEMM engine frame by frame through sessions: the
-    // end-to-end identity covers the whole serving path, not just
-    // the kernels.
+    // Feed the second engine frame by frame through sessions on two
+    // threads: the end-to-end identity covers the whole serving path,
+    // not just the kernels.
     for (const Sequence &seq : streams) {
         gemm_engine.session(seq.name).submit_all(seq);
     }
     const RunReport session_report = gemm_engine.report();
 
-    EXPECT_EQ(direct_report.digest, session_report.digest);
-    EXPECT_EQ(direct_report.frames, session_report.frames);
-    EXPECT_EQ(direct_report.key_frames, session_report.key_frames);
+    EXPECT_EQ(serial_report.digest, session_report.digest);
+    EXPECT_EQ(serial_report.frames, session_report.frames);
+    EXPECT_EQ(serial_report.key_frames, session_report.key_frames);
 }
 
 TEST(Engine, ReportEchoesKernelSelection)
@@ -535,24 +503,17 @@ TEST(Engine, KernelSpecsValidateEagerly)
         // The error names the alternatives.
         EXPECT_NE(std::string(e.what()).find("gemm"),
                   std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("direct"),
+        EXPECT_NE(std::string(e.what()).find("tuned"),
                   std::string::npos);
     }
 
-    EngineConfig bad_param;
-    bad_param.kernel = "gemm:fused=1";
-    EXPECT_THROW(bad_param.validate(net), ConfigError);
-
-    EngineConfig unfused;
-    unfused.kernel = "gemm:fuse=0";
-    unfused.num_threads = 1;
-    Engine engine(net, unfused);
-    const RunReport report =
-        engine.run(multi_stream_set(4, 1, 2, 48));
-    for (const PlanRecord &record : report.plan) {
-        for (const PlanStepInfo &step : record.steps) {
-            EXPECT_FALSE(step.fused_relu);
-        }
+    // Unknown parameters, and the removed `direct` kind and `fuse`
+    // parameter, are rejected before any frame runs.
+    for (const char *spec :
+         {"gemm:fused=1", "direct", "gemm:fuse=0", "tuned:fuse=1"}) {
+        EngineConfig bad;
+        bad.kernel = spec;
+        EXPECT_THROW(bad.validate(net), ConfigError) << spec;
     }
 }
 

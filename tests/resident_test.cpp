@@ -335,7 +335,7 @@ TEST(ResidentTier, HibernateHydrateDigestIdentityAcrossConfigs)
     };
     const Case cases[] = {
         {"static:interval=2", "gemm"},
-        {"static:interval=2", "direct"},
+        {"static:interval=2", "tuned:budget_us=1000"},
         {"adaptive_error:th=0.05,max_gap=8", "gemm"},
     };
     const i64 per = fx.probe_session_bytes();

@@ -493,12 +493,11 @@ TEST(KernelRegistry, TunedSpecSetsPlanOptions)
     PlanOptions plan;
     reg.apply("tuned", plan);
     EXPECT_TRUE(plan.tune);
-    EXPECT_EQ(plan.conv_kernel, ConvKernel::kIm2colGemm);
-    EXPECT_TRUE(plan.fuse_conv_relu);
     EXPECT_EQ(plan.tune_budget_us, 20000);
-    reg.apply("tuned:fuse=0,budget_us=5000", plan);
-    EXPECT_FALSE(plan.fuse_conv_relu);
+    reg.apply("tuned:budget_us=5000", plan);
     EXPECT_EQ(plan.tune_budget_us, 5000);
+    reg.apply("gemm", plan);
+    EXPECT_FALSE(plan.tune);
 }
 
 TEST(KernelRegistry, TunedSpecRejectsBadParams)
@@ -506,6 +505,7 @@ TEST(KernelRegistry, TunedSpecRejectsBadParams)
     KernelRegistry &reg = KernelRegistry::instance();
     PlanOptions plan;
     EXPECT_THROW(reg.apply("tuned:bogus=1", plan), ConfigError);
+    EXPECT_THROW(reg.apply("tuned:fuse=1", plan), ConfigError);
     EXPECT_THROW(reg.apply("tuned:budget_us=0", plan), ConfigError);
     EXPECT_THROW(reg.apply("tuned:budget_us=-3", plan), ConfigError);
 }
