@@ -29,9 +29,8 @@
  *                fixed `memory=budget_mb:B,hibernate=on` engine. The
  *                budget defaults to ~60% of the fleet's unconstrained
  *                footprint so the LRU hibernate tier must actually
- *                evict; frames are pre-quantized to the Q8.8 grid so
- *                hibernation is lossless and every session's digest —
- *                evicted or not — must equal a memory=off control
+ *                evict; hibernation is lossless, so every session's
+ *                digest — evicted or not — must equal a memory=off control
  *                engine's digest for the same frames. Reports
  *                bytes/session, hydrate p50/p99, and the VmHWM delta.
  *
@@ -61,7 +60,6 @@
 #include "cnn/model_zoo.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "util/fixed_point.h"
 #include "util/json.h"
 #include "video/scenarios.h"
 
@@ -472,23 +470,6 @@ struct SoakResult
     i64 evicted_digest_mismatches = 0;
 };
 
-/**
- * Snap a frame to the Q8.8 grid. The hibernate tier stores key
- * pixels Q8.8-quantized; Q8.8 round-trips its own grid exactly, so
- * pre-quantized input makes hibernation lossless and the soak's
- * digest-identity check exact for evicted sessions too.
- */
-Tensor
-quantize_frame_q88(const Tensor &in)
-{
-    Tensor out = in;
-    for (i64 i = 0; i < out.size(); ++i) {
-        out[i] =
-            static_cast<float>(Q88::from_double(out[i]).to_double());
-    }
-    return out;
-}
-
 EngineConfig
 soak_config(const std::string &memory)
 {
@@ -524,14 +505,13 @@ run_soak_phase(const Network &net, const Args &args, i64 target)
     r.sessions = target;
     r.frames = target * kFramesPerSession;
 
-    // Pre-quantized frame set (see quantize_frame_q88).
+    // Raw rendered frames: hibernation is lossless for any pixels.
     const std::vector<Sequence> raw = multi_stream_set(
         /*seed=*/97, kProtoStreams, kFramesPerSession, args.size);
     std::vector<std::vector<Tensor>> proto(kProtoStreams);
     for (i64 p = 0; p < kProtoStreams; ++p) {
         for (const LabeledFrame &f : raw[static_cast<size_t>(p)].frames) {
-            proto[static_cast<size_t>(p)].push_back(
-                quantize_frame_q88(f.image));
+            proto[static_cast<size_t>(p)].push_back(f.image);
         }
     }
 

@@ -370,13 +370,12 @@ warp_rle_bench(benchmark::State &state, const WarpShape &shape)
 }
 
 // --------------------------------------------------------------------
-// RFBME diff-tile producer, scalar vs SIMD variant, and the raw SAD
-// span kernels underneath. `rf16_192px` is the interior-dominated CI
-// smoke shape (conv5-style field on a 192px frame: almost every tile
-// hits the full-vector interior path) — the committed
-// `rfbme/simd/...` ratio against the same-run scalar anchor is the
-// >=2x acceptance bar. `rf2_96px` exercises the s=2 cross-tile
-// vector path, where border tiles claw back a bigger share.
+// RFBME diff-tile producer, scalar vs SIMD variant, and the raw u8
+// SAD span kernels underneath. `rf16_192px` is the interior-dominated
+// CI smoke shape (conv5-style field on a 192px frame), `rf2_96px`
+// exercises the s=2 split-lane path, and `rf196_128px_r28` is the
+// amc_cams serving geometry (Faster16 at 128px: rf 196/16, pad 90,
+// radius 28 at stride 2, 841 offsets).
 
 struct RfbmeShape
 {
@@ -388,13 +387,15 @@ struct RfbmeShape
 const RfbmeShape kRfbmeShapes[] = {
     {"rf16_192px", 192, faster_rf_config()},
     {"rf2_96px", 96, {4, 2, 1, 12, 2}},
+    {"rf196_128px_r28", 128, {196, 16, 90, 28, 2}},
 };
 
 void
 rfbme_variant_bench(benchmark::State &state, const RfbmeShape &shape,
                     RfbmeVariant variant)
 {
-    const Tensor key = test_frame(shape.size, 7, 0);
+    PixelPlane key;
+    quantize_frame(test_frame(shape.size, 7, 0), key);
     const Tensor cur = test_frame(shape.size, 7, 4);
     RfbmeConfig cfg = shape.cfg;
     cfg.variant = variant;
@@ -407,32 +408,41 @@ rfbme_variant_bench(benchmark::State &state, const RfbmeShape &shape,
     state.SetItemsProcessed(state.iterations() * result.add_ops);
 }
 
+/** Seeded random u8 pixels. */
+std::vector<u8>
+random_pixels(i64 n, u64 seed)
+{
+    std::vector<u8> px(static_cast<size_t>(n));
+    Rng rng(seed);
+    for (u8 &p : px) {
+        p = static_cast<u8>(rng.uniform_int(0, 255));
+    }
+    return px;
+}
+
 void
 rfbme_tile_row_bench(benchmark::State &state, i64 s, bool simd)
 {
-    // The interior-dominated producer kernel itself: full tile rows
-    // on a 192px-wide frame, no border clipping — the shape the
+    // The producer kernel itself: 64 rows of full tile bands on a
+    // 192px-wide u8 frame with every column in frame — the shape the
     // SIMD >= 2x CI gate holds, which is why FramePlan selects the
     // SIMD producer by default. End-to-end rfbme/<variant>/<shape>
-    // rows above dilute the kernel with the shared
-    // (variant-independent) prefix-sum and min-search stages.
+    // rows above add the shared quantize, prefix-sum and min-search
+    // stages.
     const i64 w = 192;
     const i64 tiles = w / s;
     const i64 rows = 64;
-    std::vector<float> a(w * rows), b(w * rows);
-    Rng rng(31);
-    for (size_t i = 0; i < a.size(); ++i) {
-        a[i] = rng.uniform_f(0.0f, 1.0f);
-        b[i] = rng.uniform_f(0.0f, 1.0f);
-    }
-    std::vector<double> acc(tiles, 0.0);
-    const auto tile_row = simd ? &sad_tile_row_simd : &sad_tile_row;
+    const std::vector<u8> a = random_pixels(w * rows, 31);
+    const std::vector<u8> b = random_pixels(w * rows, 32);
+    const std::vector<u8> mask(static_cast<size_t>(w), 0xff);
+    std::vector<i32> out(static_cast<size_t>(tiles));
+    const auto band = simd ? &sad_tile_band_u8_simd : &sad_tile_band_u8;
     for (auto _ : state) {
-        for (i64 y = 0; y < rows; ++y) {
-            tile_row(a.data() + y * w, b.data() + y * w, tiles, s,
-                     acc.data());
+        for (i64 y = 0; y + s <= rows; y += s) {
+            band(a.data() + y * w, w, b.data() + y * w, w, mask.data(), s,
+                 tiles, s, out.data());
+            benchmark::DoNotOptimize(out.data());
         }
-        benchmark::DoNotOptimize(acc.data());
     }
     state.SetItemsProcessed(state.iterations() * rows * w);
 }
@@ -440,13 +450,9 @@ rfbme_tile_row_bench(benchmark::State &state, i64 s, bool simd)
 void
 sad_variant_bench(benchmark::State &state, i64 n, bool simd)
 {
-    std::vector<float> a(n), b(n);
-    Rng rng(29);
-    for (i64 i = 0; i < n; ++i) {
-        a[i] = rng.uniform_f(0.0f, 1.0f);
-        b[i] = rng.uniform_f(0.0f, 1.0f);
-    }
-    const auto sad = simd ? &sad_span_simd : &sad_span;
+    const std::vector<u8> a = random_pixels(n, 29);
+    const std::vector<u8> b = random_pixels(n, 30);
+    const auto sad = simd ? &sad_span_u8_simd : &sad_span_u8;
     for (auto _ : state) {
         benchmark::DoNotOptimize(sad(a.data(), b.data(), n));
     }

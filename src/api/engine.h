@@ -107,7 +107,7 @@ struct EngineConfig
      *   "budget_mb:N,hibernate=on"  additionally LRU-hibernate idle
      *                               sessions down to compressed-only
      *                               state (the RLE key activation plus
-     *                               Q8.8 key pixels) to get back under
+     *                               u8 key pixels) to get back under
      *                               budget; a hibernated session
      *                               rehydrates transparently on its
      *                               next submit. Requires a quantizing

@@ -95,9 +95,9 @@ FramePlan::FramePlan(const Network &net,
     rfbme_config_.rf_pad = target_rf_.pad;
     rfbme_config_.search_radius = opts.search_radius;
     rfbme_config_.search_stride = opts.search_stride;
-    // The SIMD diff-tile producer is bit-identical to the scalar
-    // oracle and CI holds it at >= 2x scalar, so every kernel spec
-    // runs it wherever the CPU has it, without a tuner contest.
+    // The SIMD diff-tile producer sums the same integers as the
+    // scalar oracle and CI holds it at >= 2x scalar, so every kernel
+    // spec runs it wherever the CPU has it, without a tuner contest.
     rfbme_config_.variant = simd_supported() ? RfbmeVariant::kSimd
                                              : RfbmeVariant::kScalar;
 }
@@ -193,7 +193,7 @@ void
 FramePlan::reset()
 {
     has_key_ = false;
-    key_pixels_ = Tensor();
+    key_pixels_ = PixelPlane();
     key_activation_dense_ = Tensor();
     key_activation_rle_ = RleActivation();
     key_act_shared_.reset();
@@ -203,8 +203,6 @@ FramePlan::reset()
     stored_cache_ = Tensor();
     stored_cache_valid_ = false;
     hibernated_ = false;
-    hib_pixels_ = std::vector<i16>();
-    hib_pixels_shape_ = Shape{};
     frames_since_key_ = 0;
     stats_ = AmcStats();
     policy_->reset();
@@ -232,12 +230,10 @@ FramePlan::stored_activation() const
     return stored_cache_;
 }
 
-const Tensor &
+const PixelPlane &
 FramePlan::key_pixels() const
 {
     require(has_key_, "no key frame has been processed yet");
-    require(!hibernated_,
-            "key_pixels: session is hibernated (hydrate() first)");
     return key_pixels_;
 }
 
@@ -258,17 +254,8 @@ FramePlan::hibernate()
     if (hibernated_) {
         return;
     }
-    if (has_key_) {
-        // Q8.8 raw pixels: the RFBME reference frame in 2 bytes per
-        // pixel instead of 4, matching the hardware's key buffers.
-        hib_pixels_shape_ = key_pixels_.shape();
-        hib_pixels_.resize(static_cast<size_t>(key_pixels_.size()));
-        for (i64 i = 0; i < key_pixels_.size(); ++i) {
-            hib_pixels_[static_cast<size_t>(i)] =
-                Q88::from_double(key_pixels_[i]).raw();
-        }
-    }
-    key_pixels_ = Tensor();
+    // The u8 key pixels stay as they are: they are already the
+    // compact form RFBME reads, so hibernation loses nothing there.
     key_activation_dense_ = Tensor();
     key_act_shared_.reset();
     for (auto &alias : slot_alias_) {
@@ -286,20 +273,10 @@ FramePlan::hydrate()
     if (!hibernated_) {
         return;
     }
-    if (has_key_) {
-        key_pixels_ = Tensor(hib_pixels_shape_);
-        for (i64 i = 0; i < key_pixels_.size(); ++i) {
-            key_pixels_[i] = static_cast<float>(
-                Q88::from_raw(hib_pixels_[static_cast<size_t>(i)])
-                    .to_double());
-        }
-        if (opts_.motion_mode == MotionMode::kMemoization) {
-            key_act_shared_ = std::make_shared<const Tensor>(
-                rle_decode(key_activation_rle_));
-        }
+    if (has_key_ && opts_.motion_mode == MotionMode::kMemoization) {
+        key_act_shared_ = std::make_shared<const Tensor>(
+            rle_decode(key_activation_rle_));
     }
-    hib_pixels_ = std::vector<i16>();
-    hib_pixels_shape_ = Shape{};
     hibernated_ = false;
 }
 
@@ -307,7 +284,7 @@ i64
 FramePlan::resident_bytes() const
 {
     i64 bytes = key_activation_rle_.encoded_bytes();
-    bytes += key_pixels_.size() * static_cast<i64>(sizeof(float));
+    bytes += static_cast<i64>(key_pixels_.pixels.size());
     bytes +=
         key_activation_dense_.size() * static_cast<i64>(sizeof(float));
     if (key_act_shared_) {
@@ -317,23 +294,13 @@ FramePlan::resident_bytes() const
     if (stored_cache_valid_) {
         bytes += stored_cache_.size() * static_cast<i64>(sizeof(float));
     }
-    bytes += static_cast<i64>(hib_pixels_.size() * sizeof(i16));
     bytes += static_cast<i64>(slot_ring_.bytes_reserved());
     const auto field_bytes = [](const MotionField &f) {
         return f.height() * f.width() * static_cast<i64>(sizeof(Vec2));
     };
     bytes += field_bytes(fitted_field_) + field_bytes(me_.field);
     bytes += static_cast<i64>(me_.rf_errors.size() * sizeof(double));
-    bytes += static_cast<i64>(me_ws_.offsets.size() * sizeof(Vec2));
-    bytes += static_cast<i64>(me_ws_.merge_best.size() * sizeof(double));
-    for (const RfbmeWorkspace::Chunk &ch : me_ws_.chunks) {
-        bytes += static_cast<i64>(
-            (ch.best.size() + ch.prefix_diff.size() +
-             ch.prefix_count.size() + ch.tile_diff.size() +
-             ch.tile_count.size()) *
-                sizeof(double) +
-            ch.winner.size() * sizeof(i32));
-    }
+    bytes += me_ws_.bytes();
     return bytes;
 }
 
@@ -375,9 +342,10 @@ FramePlan::key_stage(const Tensor &frame, i64 slot,
     }
 
     // Store pixels and the target activation the way the hardware
-    // does: pixels in the key pixel buffer, the activation run-length
-    // encoded in the key frame activation buffer.
-    key_pixels_ = frame;
+    // does: u8 pixels in the key pixel buffer (quantized once, here),
+    // the activation run-length encoded in the key frame activation
+    // buffer.
+    quantize_frame(frame, key_pixels_);
     {
         StageScope timer(obs, AmcStage::kEncode);
         RleParams rle_params;

@@ -243,8 +243,12 @@ class FramePlan
     /** Stored key activation (decoded); requires a stored key frame. */
     const Tensor &stored_activation() const;
 
-    /** Stored key-frame pixels; requires a stored key frame. */
-    const Tensor &key_pixels() const;
+    /**
+     * Stored key-frame pixels, quantized to u8 when the key was
+     * stored (flow/sad_kernels.h): the plane RFBME compares against.
+     * Requires a stored key frame.
+     */
+    const PixelPlane &key_pixels() const;
 
     /** Encoded size of the stored key activation, in bytes. */
     i64 stored_activation_bytes() const;
@@ -257,7 +261,7 @@ class FramePlan
     /**
      * Collapse the stream's resident state to the compressed-only
      * form: the RLE key activation (already the canonical store under
-     * quantized storage) plus the key pixels re-packed as Q8.8 raw —
+     * quantized storage) plus the u8 key pixels, kept verbatim —
      * everything RFBME and a later predicted frame need to resume —
      * and release every dense buffer and per-frame workspace. Only
      * valid under quantize_storage (the dense precise activation of
@@ -269,9 +273,9 @@ class FramePlan
     /**
      * Rebuild the dense working state from the compressed form after
      * hibernate(); the next run_front proceeds as if the session had
-     * never been evicted. Key pixels come back Q8.8-quantized, so
-     * digests after rehydration are bit-identical whenever the
-     * submitted pixels were Q8.8-representable (see docs).
+     * never been evicted. Nothing is lost in between, so digests
+     * after rehydration are bit-identical for any frames (see
+     * docs/resident_state.md).
      */
     void hydrate();
 
@@ -348,7 +352,7 @@ class FramePlan
     // dense tensor is only materialized where a dense consumer exists
     // (codec=dense warping, memoization sharing, the accessor cache).
     bool has_key_ = false;
-    Tensor key_pixels_;
+    PixelPlane key_pixels_;       ///< u8, kept through hibernation.
     Tensor key_activation_dense_; ///< Precise; codec=dense only.
     RleActivation key_activation_rle_;
     /**
@@ -363,10 +367,7 @@ class FramePlan
     /** Lazy rle_decode cache backing stored_activation(). */
     mutable Tensor stored_cache_;
     mutable bool stored_cache_valid_ = false;
-    // Hibernated form: Q8.8 raw key pixels (RFBME's reference frame).
     bool hibernated_ = false;
-    std::vector<i16> hib_pixels_;
-    Shape hib_pixels_shape_;
     i64 frames_since_key_ = 0;
     AmcStats stats_;
 

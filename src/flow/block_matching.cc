@@ -11,18 +11,17 @@
 namespace eva2 {
 
 double
-block_mad(const Tensor &key, const Tensor &current, i64 by, i64 bx,
-          i64 block, i64 dy, i64 dx)
+block_mad(const PixelPlane &key, const PixelPlane &current, i64 by,
+          i64 bx, i64 block, i64 dy, i64 dx)
 {
     // Per in-bounds block row, the in-bounds pixels form one
-    // contiguous span, so the whole row is a single fixed-stripe SAD
-    // call (flow/sad_kernels.h) on raw row pointers. The SIMD and
-    // scalar span kernels are bit-identical, so the one-time dispatch
-    // never changes the result.
+    // contiguous span, so the whole row is a single u8 SAD call
+    // (flow/sad_kernels.h) on raw row pointers. The sums are exact
+    // integers, so the one-time SIMD dispatch never changes them.
     static const auto sad =
-        simd_supported() ? &sad_span_simd : &sad_span;
-    const i64 h = key.height();
-    const i64 w = key.width();
+        simd_supported() ? &sad_span_u8_simd : &sad_span_u8;
+    const i64 h = key.height;
+    const i64 w = key.width;
     const i64 y_lo = std::max(by, -dy);
     const i64 y_hi = std::min(std::min(by + block, h), h - dy);
     const i64 x_lo = std::max(bx, -dx);
@@ -31,15 +30,15 @@ block_mad(const Tensor &key, const Tensor &current, i64 by, i64 bx,
     if (span <= 0 || y_lo >= y_hi) {
         return std::numeric_limits<double>::infinity();
     }
-    const float *cur_base = current.data().data();
-    const float *key_base = key.data().data();
-    double acc = 0.0;
+    const u8 *cur_base = current.pixels.data();
+    const u8 *key_base = key.pixels.data();
+    i64 acc = 0;
     for (i64 y = y_lo; y < y_hi; ++y) {
         acc += sad(cur_base + y * w + x_lo,
                    key_base + (y + dy) * w + x_lo + dx, span);
     }
     const i64 n = (y_hi - y_lo) * span;
-    return acc / static_cast<double>(n);
+    return static_cast<double>(acc) / (static_cast<double>(n) * 255.0);
 }
 
 void
@@ -52,6 +51,10 @@ exhaustive_block_match_into(const Tensor &key, const Tensor &current,
             "block match: bad config");
     const i64 bh = key.height() / c.block_size;
     const i64 bw = key.width() / c.block_size;
+    PixelPlane kq;
+    PixelPlane cq;
+    quantize_frame(key, kq);
+    quantize_frame(current, cq);
     out.resize_grid(bh, bw);
     MotionField &field = out;
     // Blocks are independent — each (by, bx) writes only its own
@@ -67,7 +70,7 @@ exhaustive_block_match_into(const Tensor &key, const Tensor &current,
                 for (i64 dx = -c.search_radius; dx <= c.search_radius;
                      dx += c.search_stride) {
                     const double err =
-                        block_mad(key, current, by * c.block_size,
+                        block_mad(kq, cq, by * c.block_size,
                                   bx * c.block_size, c.block_size, dy, dx);
                     if (err < best) {
                         best = err;
@@ -92,13 +95,17 @@ three_step_search_into(const Tensor &key, const Tensor &current,
             "three step search: bad config");
     const i64 bh = key.height() / c.block_size;
     const i64 bw = key.width() / c.block_size;
+    PixelPlane kq;
+    PixelPlane cq;
+    quantize_frame(key, kq);
+    quantize_frame(current, cq);
     out.resize_grid(bh, bw);
     MotionField &field = out;
     for (i64 by = 0; by < bh; ++by) {
         for (i64 bx = 0; bx < bw; ++bx) {
             i64 cy = 0;
             i64 cx = 0;
-            double best = block_mad(key, current, by * c.block_size,
+            double best = block_mad(kq, cq, by * c.block_size,
                                     bx * c.block_size, c.block_size, 0, 0);
             i64 step = std::max<i64>(1, c.search_radius / 2);
             while (step >= 1) {
@@ -116,7 +123,7 @@ three_step_search_into(const Tensor &key, const Tensor &current,
                             continue;
                         }
                         const double err = block_mad(
-                            key, current, by * c.block_size,
+                            kq, cq, by * c.block_size,
                             bx * c.block_size, c.block_size, dy, dx);
                         if (err < best) {
                             best = err;
@@ -153,6 +160,10 @@ diamond_search_into(const Tensor &key, const Tensor &current,
 
     const i64 bh = key.height() / c.block_size;
     const i64 bw = key.width() / c.block_size;
+    PixelPlane kq;
+    PixelPlane cq;
+    quantize_frame(key, kq);
+    quantize_frame(current, cq);
     out.resize_grid(bh, bw);
     MotionField &field = out;
     for (i64 by = 0; by < bh; ++by) {
@@ -162,7 +173,7 @@ diamond_search_into(const Tensor &key, const Tensor &current,
             i64 cy = 0;
             i64 cx = 0;
             double best =
-                block_mad(key, current, oy, ox, c.block_size, 0, 0);
+                block_mad(kq, cq, oy, ox, c.block_size, 0, 0);
 
             // LDSP until the centre wins (bounded by the search
             // radius so pathological inputs terminate).
@@ -176,7 +187,7 @@ diamond_search_into(const Tensor &key, const Tensor &current,
                         std::abs(dx) > c.search_radius) {
                         continue;
                     }
-                    const double err = block_mad(key, current, oy, ox,
+                    const double err = block_mad(kq, cq, oy, ox,
                                                  c.block_size, dy, dx);
                     if (err < best) {
                         best = err;
@@ -199,7 +210,7 @@ diamond_search_into(const Tensor &key, const Tensor &current,
                     std::abs(dx) > c.search_radius) {
                     continue;
                 }
-                const double err = block_mad(key, current, oy, ox,
+                const double err = block_mad(kq, cq, oy, ox,
                                              c.block_size, dy, dx);
                 if (err < best) {
                     best = err;

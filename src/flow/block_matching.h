@@ -9,6 +9,7 @@
 #define EVA2_FLOW_BLOCK_MATCHING_H
 
 #include "flow/motion_field.h"
+#include "flow/sad_kernels.h"
 #include "tensor/tensor.h"
 
 namespace eva2 {
@@ -69,10 +70,13 @@ void diamond_search_into(const Tensor &key, const Tensor &current,
 /**
  * Mean absolute difference between a block of `current` anchored at
  * (by, bx) and the block of `key` displaced by (dy, dx), counting only
- * in-bounds pixels. Returns infinity when no pixels overlap.
+ * in-bounds pixels: the exact u8 SAD divided by (count * 255.0), in
+ * [0, 1] pixel units. Returns infinity when no pixels overlap. The
+ * searches above quantize both frames once (quantize_frame) and call
+ * this per candidate.
  */
-double block_mad(const Tensor &key, const Tensor &current, i64 by, i64 bx,
-                 i64 block, i64 dy, i64 dx);
+double block_mad(const PixelPlane &key, const PixelPlane &current, i64 by,
+                 i64 bx, i64 block, i64 dy, i64 dx);
 
 } // namespace eva2
 

@@ -1,10 +1,9 @@
 #include "flow/rfbme.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstring>
 #include <limits>
 
-#include "flow/sad_kernels.h"
 #include "runtime/parallel_for.h"
 #include "simd/simd_kernels.h"
 #include "util/math_util.h"
@@ -29,6 +28,13 @@ i64
 ceil_div_signed(i64 a, i64 b)
 {
     return -floor_div(-a, b);
+}
+
+/** Length of [lo, hi) intersected with [a, b), or 0. */
+i64
+overlap(i64 lo, i64 hi, i64 a, i64 b)
+{
+    return std::max<i64>(0, std::min(hi, b) - std::max(lo, a));
 }
 
 /** The grid of candidate offsets (always includes the zero offset). */
@@ -61,61 +67,34 @@ cached_offsets(const RfbmeConfig &c, RfbmeWorkspace &ws)
     return ws.offsets;
 }
 
-/**
- * Full-tile range [t_lo, t_hi) covered by receptive field coordinate u
- * along one axis, clipped to the image's tile grid. A tile t covers
- * pixels [t*s, (t+1)*s); it belongs to the receptive field only if it
- * lies entirely within the field's window (partial tiles are ignored,
- * Section III-A).
- */
-void
-tile_range(i64 u, const RfbmeConfig &c, i64 tiles, i64 &t_lo, i64 &t_hi)
-{
-    const i64 s = c.rf_stride;
-    const i64 start = u * c.rf_stride - c.rf_pad;
-    t_lo = std::max<i64>(0, ceil_div_signed(start, s));
-    t_hi = std::min<i64>(tiles, floor_div(start + c.rf_size, s));
-}
+/** The diff-tile band kernel a variant dispatches to. */
+using TileBandFn = void (*)(const u8 *, i64, const u8 *, i64, const u8 *,
+                            i64, i64, i64, i32 *);
 
-/**
- * Range [t_lo, t_hi) of tiles that are *interior* for shift d along
- * one axis: every pixel of the shifted tile [t*s + d, (t+1)*s + d)
- * stays inside [0, extent). Everything outside the range needs the
- * guarded border loop.
- */
-void
-interior_tile_range(i64 d, i64 s, i64 extent, i64 tiles, i64 &t_lo,
-                    i64 &t_hi)
-{
-    // Both bounds clamp to the tile grid: a shift past the image
-    // makes the range empty, never out of range.
-    t_lo = std::min(std::max<i64>(0, ceil_div_signed(-d, s)), tiles);
-    t_hi = std::max(t_lo, std::min(tiles, floor_div(extent - d, s)));
-}
-
-/** The diff-tile row kernel a variant dispatches to. */
-using SadTileRowFn = void (*)(const float *, const float *, i64, i64,
-                              double *);
-
-SadTileRowFn
-sad_rows_for(RfbmeVariant variant)
+TileBandFn
+band_for(RfbmeVariant variant)
 {
     if (variant == RfbmeVariant::kSimd && simd_supported()) {
-        return &sad_tile_row_simd;
+        return &sad_tile_band_u8_simd;
     }
-    return &sad_tile_row;
+    return &sad_tile_band_u8;
 }
 
 void
-validate(const Tensor &key, const Tensor &current, const RfbmeConfig &c)
+validate(i64 key_h, i64 key_w, const Tensor &current,
+         const RfbmeConfig &c)
 {
-    require(key.shape() == current.shape(),
+    require(current.channels() == 1,
+            "rfbme: frames must be single-channel");
+    require(current.height() == key_h && current.width() == key_w,
             "rfbme: frame shape mismatch");
-    require(key.channels() == 1, "rfbme: frames must be single-channel");
     require(c.rf_size > 0 && c.rf_stride > 0 && c.rf_pad >= 0,
             "rfbme: invalid receptive-field geometry");
     require(c.search_radius >= 0 && c.search_stride > 0,
             "rfbme: invalid search parameters");
+    // Every tile and prefix sum is an int32 of at most 255 per pixel.
+    require(key_h * key_w <= std::numeric_limits<i32>::max() / 255,
+            "rfbme: frame too large for int32 tile sums");
 }
 
 } // namespace
@@ -137,69 +116,143 @@ rfbme_out_size(i64 image_extent, const RfbmeConfig &config)
                          config.rf_pad);
 }
 
+i64
+RfbmeWorkspace::bytes() const
+{
+    size_t b = offsets.size() * sizeof(Vec2) + key_q.pixels.size() +
+               key_pad.size() + cur_q.size() + masks.size() +
+               (range_y.size() + range_x.size()) * sizeof(i64);
+    for (const Chunk &ch : chunks) {
+        b += (ch.tile_sum.size() + ch.prefix.size() + ch.winner.size()) *
+                 sizeof(i32) +
+             (ch.row_valid.size() + ch.col_valid.size() +
+              ch.best_sum.size() + ch.best_count.size()) *
+                 sizeof(i64);
+    }
+    return static_cast<i64>(b);
+}
+
 void
-rfbme_into(const Tensor &key, const Tensor &current,
+rfbme_tile_range(i64 u, const RfbmeConfig &c, i64 tiles, i64 &t_lo,
+                 i64 &t_hi)
+{
+    const i64 s = c.rf_stride;
+    const i64 start = u * c.rf_stride - c.rf_pad;
+    t_lo = std::max<i64>(0, ceil_div_signed(start, s));
+    t_hi = std::min<i64>(tiles, floor_div(start + c.rf_size, s));
+}
+
+void
+rfbme_into(const PixelPlane &key, const Tensor &current,
            const RfbmeConfig &config, RfbmeResult &result,
            RfbmeWorkspace &ws)
 {
-    validate(key, current, config);
-    const i64 h = key.height();
-    const i64 w = key.width();
+    const i64 h = key.height;
+    const i64 w = key.width;
+    validate(h, w, current, config);
     const i64 s = config.rf_stride;
     const i64 tiles_y = h / s;
     const i64 tiles_x = w / s;
     const i64 out_h = rfbme_out_size(h, config);
     const i64 out_w = rfbme_out_size(w, config);
     const std::vector<Vec2> &offsets = cached_offsets(config, ws);
+    const i64 steps = config.search_radius / config.search_stride;
+    const i64 margin = steps * config.search_stride;
 
-    result.field.resize_grid(out_h, out_w);
-    result.rf_errors.assign(static_cast<size_t>(out_h * out_w),
-                            std::numeric_limits<double>::infinity());
-    result.add_ops = 0;
+    // Quantize the current frame once, each row zero-padded to whole
+    // 32-byte blocks so the SIMD tile kernel never reads past it.
+    const auto quantize =
+        simd_supported() ? &quantize_pixels_simd : &quantize_pixels;
+    const i64 cs = ceil_div(std::max<i64>(w, 1), 32) * 32;
+    ws.cur_q.resize(static_cast<size_t>(h * cs));
+    const float *cur_f = current.data().data();
+    for (i64 y = 0; y < h; ++y) {
+        u8 *row = ws.cur_q.data() + y * cs;
+        quantize(cur_f + y * w, w, row);
+        std::fill(row + w, row + cs, u8{0});
+    }
+
+    // Key rows inside a zero margin: every candidate dx reads the
+    // whole tile row in bounds, and columns outside the frame read 0.
+    const i64 ks = w + 2 * margin + 32;
+    ws.key_pad.resize(static_cast<size_t>(h * ks));
+    for (i64 y = 0; y < h; ++y) {
+        u8 *row = ws.key_pad.data() + y * ks;
+        std::fill(row, row + margin, u8{0});
+        std::memcpy(row + margin, key.pixels.data() + y * w,
+                    static_cast<size_t>(w));
+        std::fill(row + margin + w, row + ks, u8{0});
+    }
+
+    // One mask per candidate dx: 0xff where the key column x + dx is
+    // inside the frame, 0 where the current pixel must not count
+    // (and past the last tile). Masked columns add |0 - 0| = 0.
+    const i64 num_dx = 2 * steps + 1;
+    const i64 tile_cols = tiles_x * s;
+    ws.masks.resize(static_cast<size_t>(num_dx * cs));
+    for (i64 di = 0; di < num_dx; ++di) {
+        const i64 dx = (di - steps) * config.search_stride;
+        u8 *m = ws.masks.data() + di * cs;
+        for (i64 x = 0; x < cs; ++x) {
+            m[x] = (x < tile_cols && x + dx >= 0 && x + dx < w) ? 0xff : 0;
+        }
+    }
+
+    // Each cell's full-tile ranges, and the consumer's fixed op count
+    // per offset: 6 per prefix-sum cell, 6 per live receptive field.
+    ws.range_y.resize(static_cast<size_t>(2 * out_h));
+    ws.range_x.resize(static_cast<size_t>(2 * out_w));
+    i64 live_rows = 0;
+    i64 live_cols = 0;
+    for (i64 uy = 0; uy < out_h; ++uy) {
+        i64 *r = ws.range_y.data() + 2 * uy;
+        rfbme_tile_range(uy, config, tiles_y, r[0], r[1]);
+        live_rows += r[0] < r[1] ? 1 : 0;
+    }
+    for (i64 ux = 0; ux < out_w; ++ux) {
+        i64 *r = ws.range_x.data() + 2 * ux;
+        rfbme_tile_range(ux, config, tiles_x, r[0], r[1]);
+        live_cols += r[0] < r[1] ? 1 : 0;
+    }
+    const i64 fixed_ops = 6 * tiles_y * tiles_x + 6 * live_rows * live_cols;
 
     const i64 cells = out_h * out_w;
-    const size_t plane = static_cast<size_t>((tiles_y + 1) * (tiles_x + 1));
+    const i64 px = tiles_x + 1;
     const i64 num_offsets = static_cast<i64>(offsets.size());
 
     // The candidate-offset search parallelizes over fixed-size chunks
     // of the offset grid (the hardware runs the same search on
-    // parallel adder trees). Each chunk computes its own per-cell
-    // minimum and winning-offset index from scratch; the per-offset
-    // arithmetic is untouched, and the merge below makes the combined
-    // result independent of the partition, so the output is
-    // bit-identical to the serial search for any thread count.
+    // parallel adder trees). Each chunk keeps its own per-cell
+    // minimum and winning-offset index; the merge below makes the
+    // combined result independent of the partition, so the output is
+    // identical for any thread count.
     const i64 offsets_per_chunk = 32;
     const i64 num_chunks = ceil_div(num_offsets, offsets_per_chunk);
-
     if (static_cast<i64>(ws.chunks.size()) < num_chunks) {
         ws.chunks.resize(static_cast<size_t>(num_chunks));
     }
 
-    const SadTileRowFn sad_rows = sad_rows_for(config.variant);
-    const float *cur_base = current.data().data();
-    const float *key_base = key.data().data();
+    const TileBandFn band = band_for(config.variant);
+    const u8 *cur_q = ws.cur_q.data();
+    const u8 *key_pad = ws.key_pad.data();
+    const u8 *masks = ws.masks.data();
+    const i64 *range_y = ws.range_y.data();
+    const i64 *range_x = ws.range_x.data();
 
     parallel_for(0, num_chunks, [&](i64 ci) {
         RfbmeWorkspace::Chunk &cb = ws.chunks[static_cast<size_t>(ci)];
         cb.add_ops = 0;
-        cb.best.assign(static_cast<size_t>(cells),
-                       std::numeric_limits<double>::infinity());
+        cb.tile_sum.resize(static_cast<size_t>(tiles_y * tiles_x));
+        cb.prefix.assign(static_cast<size_t>((tiles_y + 1) * px), 0);
+        cb.row_valid.resize(static_cast<size_t>(tiles_y + 1));
+        cb.col_valid.resize(static_cast<size_t>(tiles_x + 1));
+        cb.best_sum.resize(static_cast<size_t>(cells));
+        cb.best_count.resize(static_cast<size_t>(cells));
         cb.winner.assign(static_cast<size_t>(cells), -1);
-
-        // Per-offset tile difference and valid-pixel-count planes,
-        // plus their 2D prefix sums for O(1) receptive-field
-        // aggregation (the software analogue of the diff tile
-        // consumer's rolling sums). Every element is rewritten per
-        // offset before it is read, so a same-shape frame reuses the
-        // stale planes as-is — resize only reshapes, it never clears.
-        cb.prefix_diff.resize(plane);
-        cb.prefix_count.resize(plane);
-        cb.tile_diff.resize(static_cast<size_t>(tiles_y * tiles_x));
-        cb.tile_count.resize(static_cast<size_t>(tiles_y * tiles_x));
-        std::vector<double> &prefix_diff = cb.prefix_diff;
-        std::vector<double> &prefix_count = cb.prefix_count;
-        std::vector<double> &tile_diff = cb.tile_diff;
-        std::vector<double> &tile_count = cb.tile_count;
+        i32 *tile = cb.tile_sum.data();
+        i32 *prefix = cb.prefix.data();
+        i64 *row_valid = cb.row_valid.data();
+        i64 *col_valid = cb.col_valid.data();
 
         const i64 oi_lo = ci * offsets_per_chunk;
         const i64 oi_hi =
@@ -208,141 +261,80 @@ rfbme_into(const Tensor &key, const Tensor &current,
             const Vec2 &off = offsets[static_cast<size_t>(oi)];
             const i64 dy = static_cast<i64>(off.dy);
             const i64 dx = static_cast<i64>(off.dx);
+            const u8 *mask =
+                masks + (dx / config.search_stride + steps) * cs;
 
-            // Guarded per-pixel border tile: part of the shifted tile
-            // may fall outside the key frame. This loop is the oracle
-            // tier — both variants run it verbatim.
-            const auto border_tile = [&](i64 ty, i64 tx) {
-                double d = 0.0;
-                i64 n = 0;
-                for (i64 y = ty * s; y < (ty + 1) * s; ++y) {
-                    const i64 ky = y + dy;
-                    if (ky < 0 || ky >= h) {
-                        continue;
-                    }
-                    for (i64 x = tx * s; x < (tx + 1) * s; ++x) {
-                        const i64 kx = x + dx;
-                        if (kx < 0 || kx >= w) {
-                            continue;
-                        }
-                        d += std::fabs(
-                            static_cast<double>(current.at(0, y, x)) -
-                            static_cast<double>(key.at(0, ky, kx)));
-                        ++n;
-                    }
-                }
-                tile_diff[static_cast<size_t>(ty * tiles_x + tx)] = d;
-                tile_count[static_cast<size_t>(ty * tiles_x + tx)] =
-                    static_cast<double>(n);
-                cb.add_ops += n;
-            };
-
-            // Diff tile producer, split interior/border: a tile whose
-            // shifted footprint is fully inside the key frame needs no
-            // bounds checks and runs the fixed-stripe SAD row kernel
-            // on raw row pointers (SIMD when the variant says so;
-            // bit-identical either way — flow/sad_kernels.h).
-            i64 ity_lo;
-            i64 ity_hi;
-            i64 itx_lo;
-            i64 itx_hi;
-            interior_tile_range(dy, s, h, tiles_y, ity_lo, ity_hi);
-            interior_tile_range(dx, s, w, tiles_x, itx_lo, itx_hi);
-
+            // Diff tile producer. Rows whose key row leaves the frame
+            // are skipped; columns are masked. A tile's valid-pixel
+            // count is its clipped rectangle's area, kept as prefix
+            // sums of valid rows and columns.
+            row_valid[0] = 0;
             for (i64 ty = 0; ty < tiles_y; ++ty) {
-                const bool row_interior = ty >= ity_lo && ty < ity_hi;
-                const i64 ix_lo = row_interior ? itx_lo : 0;
-                const i64 ix_hi = row_interior ? itx_hi : 0;
-                for (i64 tx = 0; tx < ix_lo; ++tx) {
-                    border_tile(ty, tx);
-                }
-                for (i64 tx = ix_hi; tx < tiles_x; ++tx) {
-                    border_tile(ty, tx);
-                }
-                if (ix_lo >= ix_hi) {
+                const i64 y_lo = std::max(ty * s, -dy);
+                const i64 y_hi = std::min((ty + 1) * s, h - dy);
+                const i64 rows = std::max<i64>(0, y_hi - y_lo);
+                row_valid[ty + 1] = row_valid[ty] + rows;
+                i32 *out = tile + ty * tiles_x;
+                if (rows == 0) {
+                    std::fill(out, out + tiles_x, 0);
                     continue;
                 }
-                const i64 ntiles = ix_hi - ix_lo;
-                double *acc = tile_diff.data() + ty * tiles_x + ix_lo;
-                std::fill(acc, acc + ntiles, 0.0);
-                for (i64 y = ty * s; y < (ty + 1) * s; ++y) {
-                    sad_rows(cur_base + y * w + ix_lo * s,
-                             key_base + (y + dy) * w + ix_lo * s + dx,
-                             ntiles, s, acc);
-                }
-                for (i64 tx = ix_lo; tx < ix_hi; ++tx) {
-                    tile_count[static_cast<size_t>(ty * tiles_x + tx)] =
-                        static_cast<double>(s * s);
-                }
-                cb.add_ops += ntiles * s * s;
+                band(cur_q + y_lo * cs, cs,
+                     key_pad + (y_lo + dy) * ks + margin + dx, ks, mask,
+                     rows, tiles_x, s, out);
             }
+            col_valid[0] = 0;
+            for (i64 tx = 0; tx < tiles_x; ++tx) {
+                col_valid[tx + 1] =
+                    col_valid[tx] + overlap(tx * s, (tx + 1) * s, -dx, w - dx);
+            }
+            cb.add_ops +=
+                row_valid[tiles_y] * col_valid[tiles_x] + fixed_ops;
 
-            // Prefix sums over the tile grid.
-            for (i64 ty = 0; ty <= tiles_y; ++ty) {
-                for (i64 tx = 0; tx <= tiles_x; ++tx) {
-                    const size_t idx =
-                        static_cast<size_t>(ty * (tiles_x + 1) + tx);
-                    if (ty == 0 || tx == 0) {
-                        prefix_diff[idx] = 0.0;
-                        prefix_count[idx] = 0.0;
-                        continue;
-                    }
-                    const size_t up = static_cast<size_t>(
-                        (ty - 1) * (tiles_x + 1) + tx);
-                    const size_t left = static_cast<size_t>(
-                        ty * (tiles_x + 1) + tx - 1);
-                    const size_t diag = static_cast<size_t>(
-                        (ty - 1) * (tiles_x + 1) + tx - 1);
-                    const size_t cell = static_cast<size_t>(
-                        (ty - 1) * tiles_x + tx - 1);
-                    prefix_diff[idx] = tile_diff[cell] +
-                                       prefix_diff[up] +
-                                       prefix_diff[left] -
-                                       prefix_diff[diag];
-                    prefix_count[idx] = tile_count[cell] +
-                                        prefix_count[up] +
-                                        prefix_count[left] -
-                                        prefix_count[diag];
-                    cb.add_ops += 6;
+            // Prefix sums over the tile grid (row 0 and column 0
+            // stay zero).
+            for (i64 ty = 0; ty < tiles_y; ++ty) {
+                i32 run = 0;
+                const i32 *up = prefix + ty * px + 1;
+                i32 *dst = prefix + (ty + 1) * px + 1;
+                const i32 *row = tile + ty * tiles_x;
+                for (i64 tx = 0; tx < tiles_x; ++tx) {
+                    run += row[tx];
+                    dst[tx] = up[tx] + run;
                 }
             }
 
             // Diff tile consumer: aggregate tiles per receptive field
-            // and track the running minimum (min-check register).
+            // and keep the running minimum (min-check register).
             for (i64 uy = 0; uy < out_h; ++uy) {
-                i64 ty_lo;
-                i64 ty_hi;
-                tile_range(uy, config, tiles_y, ty_lo, ty_hi);
+                const i64 ty_lo = range_y[2 * uy];
+                const i64 ty_hi = range_y[2 * uy + 1];
                 if (ty_lo >= ty_hi) {
                     continue;
                 }
+                const i64 rows = row_valid[ty_hi] - row_valid[ty_lo];
+                const i32 *p_lo = prefix + ty_lo * px;
+                const i32 *p_hi = prefix + ty_hi * px;
                 for (i64 ux = 0; ux < out_w; ++ux) {
-                    i64 tx_lo;
-                    i64 tx_hi;
-                    tile_range(ux, config, tiles_x, tx_lo, tx_hi);
+                    const i64 tx_lo = range_x[2 * ux];
+                    const i64 tx_hi = range_x[2 * ux + 1];
                     if (tx_lo >= tx_hi) {
                         continue;
                     }
-                    auto rect = [&](const std::vector<double> &p) {
-                        return p[static_cast<size_t>(
-                                   ty_hi * (tiles_x + 1) + tx_hi)] -
-                               p[static_cast<size_t>(
-                                   ty_lo * (tiles_x + 1) + tx_hi)] -
-                               p[static_cast<size_t>(
-                                   ty_hi * (tiles_x + 1) + tx_lo)] +
-                               p[static_cast<size_t>(
-                                   ty_lo * (tiles_x + 1) + tx_lo)];
-                    };
-                    const double count = rect(prefix_count);
-                    cb.add_ops += 6;
-                    if (count <= 0.0) {
+                    const i64 count =
+                        rows * (col_valid[tx_hi] - col_valid[tx_lo]);
+                    if (count <= 0) {
                         continue;
                     }
-                    const double err = rect(prefix_diff) / count;
-                    const size_t idx =
-                        static_cast<size_t>(uy * out_w + ux);
-                    if (err < cb.best[idx]) {
-                        cb.best[idx] = err;
+                    const i64 sum = static_cast<i64>(p_hi[tx_hi]) -
+                                    p_lo[tx_hi] - p_hi[tx_lo] +
+                                    p_lo[tx_lo];
+                    const size_t idx = static_cast<size_t>(uy * out_w + ux);
+                    if (cb.winner[idx] < 0 ||
+                        rfbme_lower_error(sum, count, cb.best_sum[idx],
+                                          cb.best_count[idx])) {
+                        cb.best_sum[idx] = sum;
+                        cb.best_count[idx] = count;
                         cb.winner[idx] = static_cast<i32>(oi);
                     }
                 }
@@ -350,41 +342,56 @@ rfbme_into(const Tensor &key, const Tensor &current,
         }
     });
 
-    // Merge chunks in ascending offset order. Strict '<' comparisons
-    // both inside chunks and here pick, per cell, the lowest-indexed
-    // offset attaining the minimal error — exactly the offset the
-    // serial running-minimum loop selects.
-    ws.merge_best.assign(static_cast<size_t>(cells),
-                         std::numeric_limits<double>::infinity());
-    std::vector<double> &best = ws.merge_best;
-    for (i64 ci = 0; ci < num_chunks; ++ci) {
+    // Merge chunks into chunk 0 in ascending offset order. Strict
+    // comparisons inside chunks and here pick, per cell, the
+    // lowest-indexed offset attaining the minimal mean — exactly the
+    // offset a serial running-minimum loop selects.
+    RfbmeWorkspace::Chunk &best = ws.chunks.front();
+    result.add_ops = best.add_ops;
+    for (i64 ci = 1; ci < num_chunks; ++ci) {
         const RfbmeWorkspace::Chunk &cb =
             ws.chunks[static_cast<size_t>(ci)];
         result.add_ops += cb.add_ops;
-        for (i64 cell = 0; cell < cells; ++cell) {
-            const size_t idx = static_cast<size_t>(cell);
-            if (cb.winner[idx] < 0 || !(cb.best[idx] < best[idx])) {
+        for (size_t idx = 0; idx < static_cast<size_t>(cells); ++idx) {
+            if (cb.winner[idx] < 0) {
                 continue;
             }
-            best[idx] = cb.best[idx];
-            result.field.at(cell / out_w, cell % out_w) =
-                offsets[static_cast<size_t>(cb.winner[idx])];
-            result.rf_errors[idx] = cb.best[idx];
+            if (best.winner[idx] < 0 ||
+                rfbme_lower_error(cb.best_sum[idx], cb.best_count[idx],
+                                  best.best_sum[idx],
+                                  best.best_count[idx])) {
+                best.best_sum[idx] = cb.best_sum[idx];
+                best.best_count[idx] = cb.best_count[idx];
+                best.winner[idx] = cb.winner[idx];
+            }
         }
     }
 
+    result.field.resize_grid(out_h, out_w);
+    result.rf_errors.assign(static_cast<size_t>(cells), 0.0);
     result.total_error = 0.0;
-    for (double &e : result.rf_errors) {
-        if (std::isinf(e)) {
-            e = 0.0;
+    for (i64 cell = 0; cell < cells; ++cell) {
+        const size_t idx = static_cast<size_t>(cell);
+        if (best.winner[idx] >= 0) {
+            result.field.at(cell / out_w, cell % out_w) =
+                offsets[static_cast<size_t>(best.winner[idx])];
+            result.rf_errors[idx] =
+                rfbme_error(best.best_sum[idx], best.best_count[idx]);
         }
-        result.total_error += e;
+        result.total_error += result.rf_errors[idx];
     }
     result.mean_error =
-        result.rf_errors.empty()
-            ? 0.0
-            : result.total_error /
-                  static_cast<double>(result.rf_errors.size());
+        cells == 0 ? 0.0 : result.total_error / static_cast<double>(cells);
+}
+
+void
+rfbme_into(const Tensor &key, const Tensor &current,
+           const RfbmeConfig &config, RfbmeResult &result,
+           RfbmeWorkspace &ws)
+{
+    require(key.shape() == current.shape(), "rfbme: frame shape mismatch");
+    quantize_frame(key, ws.key_q);
+    rfbme_into(ws.key_q, current, config, result, ws);
 }
 
 RfbmeResult
@@ -400,9 +407,14 @@ RfbmeResult
 rfbme_naive(const Tensor &key, const Tensor &current,
             const RfbmeConfig &config)
 {
-    validate(key, current, config);
-    const i64 h = key.height();
-    const i64 w = key.width();
+    require(key.shape() == current.shape(), "rfbme: frame shape mismatch");
+    PixelPlane kq;
+    PixelPlane cq;
+    quantize_frame(key, kq);
+    quantize_frame(current, cq);
+    const i64 h = kq.height;
+    const i64 w = kq.width;
+    validate(h, w, current, config);
     const i64 s = config.rf_stride;
     const i64 tiles_y = h / s;
     const i64 tiles_x = w / s;
@@ -417,20 +429,21 @@ rfbme_naive(const Tensor &key, const Tensor &current,
     for (i64 uy = 0; uy < out_h; ++uy) {
         i64 ty_lo;
         i64 ty_hi;
-        tile_range(uy, config, tiles_y, ty_lo, ty_hi);
+        rfbme_tile_range(uy, config, tiles_y, ty_lo, ty_hi);
         for (i64 ux = 0; ux < out_w; ++ux) {
             i64 tx_lo;
             i64 tx_hi;
-            tile_range(ux, config, tiles_x, tx_lo, tx_hi);
+            rfbme_tile_range(ux, config, tiles_x, tx_lo, tx_hi);
             if (ty_lo >= ty_hi || tx_lo >= tx_hi) {
                 continue;
             }
-            double best_err = std::numeric_limits<double>::infinity();
-            Vec2 best_off{0.0, 0.0};
+            i64 best_sum = 0;
+            i64 best_count = 0;
+            const Vec2 *best_off = nullptr;
             for (const Vec2 &off : offsets) {
                 const i64 dy = static_cast<i64>(off.dy);
                 const i64 dx = static_cast<i64>(off.dx);
-                double d = 0.0;
+                i64 d = 0;
                 i64 n = 0;
                 for (i64 y = ty_lo * s; y < ty_hi * s; ++y) {
                     const i64 ky = y + dy;
@@ -442,9 +455,11 @@ rfbme_naive(const Tensor &key, const Tensor &current,
                         if (kx < 0 || kx >= w) {
                             continue;
                         }
-                        d += std::fabs(
-                            static_cast<double>(current.at(0, y, x)) -
-                            static_cast<double>(key.at(0, ky, kx)));
+                        const i64 diff =
+                            static_cast<i64>(cq.pixels[static_cast<size_t>(
+                                y * w + x)]) -
+                            kq.pixels[static_cast<size_t>(ky * w + kx)];
+                        d += diff < 0 ? -diff : diff;
                         ++n;
                     }
                 }
@@ -452,16 +467,17 @@ rfbme_naive(const Tensor &key, const Tensor &current,
                 if (n == 0) {
                     continue;
                 }
-                const double err = d / static_cast<double>(n);
-                if (err < best_err) {
-                    best_err = err;
-                    best_off = off;
+                if (best_off == nullptr ||
+                    rfbme_lower_error(d, n, best_sum, best_count)) {
+                    best_sum = d;
+                    best_count = n;
+                    best_off = &off;
                 }
             }
-            if (!std::isinf(best_err)) {
-                result.field.at(uy, ux) = best_off;
+            if (best_off != nullptr) {
+                result.field.at(uy, ux) = *best_off;
                 result.rf_errors[static_cast<size_t>(uy * out_w + ux)] =
-                    best_err;
+                    rfbme_error(best_sum, best_count);
             }
         }
     }

@@ -1,41 +1,66 @@
 // eva2-lint: hot-path
 #include "flow/sad_kernels.h"
 
-#include <cmath>
+#include "simd/simd_kernels.h"
 
 namespace eva2 {
 
-double
-sad_span(const float *a, const float *b, i64 n)
+void
+quantize_pixels(const float *in, i64 n, u8 *out)
 {
-    // Eight independent accumulator stripes (see the header contract):
-    // element i lands in stripe i%8, and the final pairwise reduction
-    // is the fixed tree every variant must reproduce exactly.
-    double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-    i64 i = 0;
-    for (; i + 8 <= n; i += 8) {
-        for (i64 l = 0; l < 8; ++l) {
-            acc[l] += std::fabs(static_cast<double>(a[i + l]) -
-                                static_cast<double>(b[i + l]));
-        }
+    for (i64 i = 0; i < n; ++i) {
+        out[i] = quantize_pixel(in[i]);
     }
-    for (; i < n; ++i) {
-        acc[i % 8] += std::fabs(static_cast<double>(a[i]) -
-                                static_cast<double>(b[i]));
-    }
-    const double s01 = acc[0] + acc[1];
-    const double s23 = acc[2] + acc[3];
-    const double s45 = acc[4] + acc[5];
-    const double s67 = acc[6] + acc[7];
-    return (s01 + s23) + (s45 + s67);
 }
 
 void
-sad_tile_row(const float *a, const float *b, i64 tiles, i64 s,
-             double *acc)
+quantize_frame(const Tensor &frame, PixelPlane &out)
+{
+    require(frame.channels() == 1,
+            "quantize_frame: frames must be single-channel");
+    out.height = frame.height();
+    out.width = frame.width();
+    out.pixels.resize(static_cast<size_t>(frame.size()));
+    if (simd_supported()) {
+        quantize_pixels_simd(frame.data().data(), frame.size(),
+                             out.pixels.data());
+    } else {
+        quantize_pixels(frame.data().data(), frame.size(),
+                        out.pixels.data());
+    }
+}
+
+i64
+sad_span_u8(const u8 *a, const u8 *b, i64 n)
+{
+    i64 acc = 0;
+    for (i64 i = 0; i < n; ++i) {
+        const i32 d = static_cast<i32>(a[i]) - static_cast<i32>(b[i]);
+        acc += d < 0 ? -d : d;
+    }
+    return acc;
+}
+
+void
+sad_tile_band_u8(const u8 *cur, i64 cur_stride, const u8 *key,
+                 i64 key_stride, const u8 *mask, i64 rows, i64 tiles,
+                 i64 s, i32 *out)
 {
     for (i64 t = 0; t < tiles; ++t) {
-        acc[t] += sad_span(a + t * s, b + t * s, s);
+        out[t] = 0;
+    }
+    for (i64 r = 0; r < rows; ++r) {
+        const u8 *c = cur + r * cur_stride;
+        const u8 *k = key + r * key_stride;
+        for (i64 t = 0; t < tiles; ++t) {
+            i32 acc = 0;
+            for (i64 i = t * s; i < (t + 1) * s; ++i) {
+                const i32 d = static_cast<i32>(c[i] & mask[i]) -
+                              static_cast<i32>(k[i]);
+                acc += d < 0 ? -d : d;
+            }
+            out[t] += acc;
+        }
     }
 }
 

@@ -1,41 +1,8 @@
 #include "hw/diff_tile_sim.h"
 
-#include <cmath>
-#include <limits>
-
 #include "util/math_util.h"
 
 namespace eva2 {
-
-namespace {
-
-i64
-floor_div(i64 a, i64 b)
-{
-    i64 q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) {
-        --q;
-    }
-    return q;
-}
-
-i64
-ceil_div_signed(i64 a, i64 b)
-{
-    return -floor_div(-a, b);
-}
-
-/** Full-tile range for output u along one axis (matches rfbme.cc). */
-void
-tile_range(i64 u, const RfbmeConfig &c, i64 tiles, i64 &t_lo, i64 &t_hi)
-{
-    const i64 s = c.rf_stride;
-    const i64 start = u * c.rf_stride - c.rf_pad;
-    t_lo = std::max<i64>(0, ceil_div_signed(start, s));
-    t_hi = std::min<i64>(tiles, floor_div(start + c.rf_size, s));
-}
-
-} // namespace
 
 DiffTileSimResult
 simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
@@ -47,8 +14,14 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
     require(key.channels() == 1, "diff tile sim: single channel only");
     require(adder_tree_width > 0, "diff tile sim: bad adder tree width");
 
-    const i64 h = key.height();
-    const i64 w = key.width();
+    // The pixel buffers hold u8 pixels (flow/sad_kernels.h), so the
+    // producer and consumer are integer adder trees like the hardware.
+    PixelPlane kq;
+    PixelPlane cq;
+    quantize_frame(key, kq);
+    quantize_frame(current, cq);
+    const i64 h = kq.height;
+    const i64 w = kq.width;
     const i64 s = config.rf_stride;
     const i64 tiles_y = h / s;
     const i64 tiles_x = w / s;
@@ -58,12 +31,12 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
     DiffTileSimResult result;
     result.field = MotionField(out_h, out_w);
     result.rf_errors.assign(static_cast<size_t>(out_h * out_w), 0.0);
-    std::vector<double> best(static_cast<size_t>(out_h * out_w),
-                             std::numeric_limits<double>::infinity());
+    std::vector<i64> best_sum(static_cast<size_t>(out_h * out_w), 0);
+    std::vector<i64> best_count(static_cast<size_t>(out_h * out_w), 0);
 
     // Tile memory: one frame's worth of tile diffs for one offset.
-    std::vector<double> tile_diff(static_cast<size_t>(tiles_y * tiles_x));
-    std::vector<double> tile_count(static_cast<size_t>(tiles_y * tiles_x));
+    std::vector<i64> tile_diff(static_cast<size_t>(tiles_y * tiles_x));
+    std::vector<i64> tile_count(static_cast<size_t>(tiles_y * tiles_x));
 
     const i64 steps = config.search_radius / config.search_stride;
     for (i64 ody = -steps; ody <= steps; ++ody) {
@@ -74,7 +47,7 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
             // --- Diff tile producer ---
             for (i64 ty = 0; ty < tiles_y; ++ty) {
                 for (i64 tx = 0; tx < tiles_x; ++tx) {
-                    double d = 0.0;
+                    i64 d = 0;
                     i64 n = 0;
                     for (i64 y = ty * s; y < (ty + 1) * s; ++y) {
                         const i64 ky = y + dy;
@@ -86,16 +59,19 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
                             if (kx < 0 || kx >= w) {
                                 continue;
                             }
-                            d += std::fabs(
-                                static_cast<double>(
-                                    current.at(0, y, x)) -
-                                static_cast<double>(key.at(0, ky, kx)));
+                            const i64 diff =
+                                static_cast<i64>(
+                                    cq.pixels[static_cast<size_t>(
+                                        y * w + x)]) -
+                                kq.pixels[static_cast<size_t>(ky * w +
+                                                              kx)];
+                            d += diff < 0 ? -diff : diff;
                             ++n;
                         }
                     }
                     tile_diff[static_cast<size_t>(ty * tiles_x + tx)] = d;
                     tile_count[static_cast<size_t>(ty * tiles_x + tx)] =
-                        static_cast<double>(n);
+                        n;
                     // The adder tree retires adder_tree_width
                     // differences per cycle; skipped out-of-bounds
                     // pixels cost nothing.
@@ -105,10 +81,10 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
             }
 
             // --- Diff tile consumer: rolling window sums ---
-            auto column_sum = [&](i64 tx, i64 ty_lo, i64 ty_hi,
-                                  double &d, double &c) {
-                d = 0.0;
-                c = 0.0;
+            auto column_sum = [&](i64 tx, i64 ty_lo, i64 ty_hi, i64 &d,
+                                  i64 &c) {
+                d = 0;
+                c = 0;
                 for (i64 ty = ty_lo; ty < ty_hi; ++ty) {
                     d += tile_diff[static_cast<size_t>(ty * tiles_x +
                                                        tx)];
@@ -120,19 +96,19 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
             for (i64 uy = 0; uy < out_h; ++uy) {
                 i64 ty_lo;
                 i64 ty_hi;
-                tile_range(uy, config, tiles_y, ty_lo, ty_hi);
+                rfbme_tile_range(uy, config, tiles_y, ty_lo, ty_hi);
                 if (ty_lo >= ty_hi) {
                     continue;
                 }
-                double window_d = 0.0;
-                double window_c = 0.0;
+                i64 window_d = 0;
+                i64 window_c = 0;
                 i64 prev_lo = 0;
                 i64 prev_hi = 0;
                 bool have_window = false;
                 for (i64 ux = 0; ux < out_w; ++ux) {
                     i64 tx_lo;
                     i64 tx_hi;
-                    tile_range(ux, config, tiles_x, tx_lo, tx_hi);
+                    rfbme_tile_range(ux, config, tiles_x, tx_lo, tx_hi);
                     if (tx_lo >= tx_hi) {
                         have_window = false;
                         continue;
@@ -141,10 +117,10 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
                         tx_hi == prev_hi + 1) {
                         // Steady state: add the leading column,
                         // subtract the trailing column.
-                        double add_d;
-                        double add_c;
-                        double sub_d;
-                        double sub_c;
+                        i64 add_d;
+                        i64 add_c;
+                        i64 sub_d;
+                        i64 sub_c;
                         column_sum(tx_hi - 1, ty_lo, ty_hi, add_d,
                                    add_c);
                         column_sum(prev_lo, ty_lo, ty_hi, sub_d, sub_c);
@@ -153,11 +129,11 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
                         result.consumer_cycles += 2;
                     } else {
                         // Window (re)fill: exhaustive column sums.
-                        window_d = 0.0;
-                        window_c = 0.0;
+                        window_d = 0;
+                        window_c = 0;
                         for (i64 tx = tx_lo; tx < tx_hi; ++tx) {
-                            double col_d;
-                            double col_c;
+                            i64 col_d;
+                            i64 col_c;
                             column_sum(tx, ty_lo, ty_hi, col_d, col_c);
                             window_d += col_d;
                             window_c += col_c;
@@ -168,19 +144,25 @@ simulate_diff_tile_pipeline(const Tensor &key, const Tensor &current,
                     prev_hi = tx_hi;
                     have_window = true;
 
-                    if (window_c <= 0.0) {
+                    if (window_c <= 0) {
                         continue;
                     }
-                    const double err = window_d / window_c;
                     const size_t idx =
                         static_cast<size_t>(uy * out_w + ux);
                     ++result.consumer_cycles; // min-check compare
-                    if (err < best[idx]) {
-                        best[idx] = err;
+                    // Division-free min-check: best_count 0 means no
+                    // candidate yet.
+                    if (best_count[idx] == 0 ||
+                        rfbme_lower_error(window_d, window_c,
+                                          best_sum[idx],
+                                          best_count[idx])) {
+                        best_sum[idx] = window_d;
+                        best_count[idx] = window_c;
                         result.field.at(uy, ux) =
                             Vec2{static_cast<double>(dy),
                                  static_cast<double>(dx)};
-                        result.rf_errors[idx] = err;
+                        result.rf_errors[idx] =
+                            rfbme_error(window_d, window_c);
                     }
                 }
             }

@@ -11,8 +11,10 @@
  * strategy the hardware uses instead of exhaustive sums), checking
  * each result against a min-check register.
  *
- * This is an independent implementation of RFBME; tests verify it
- * produces the same motion vectors as the functional rfbme().
+ * This is an independent implementation of RFBME on the same u8
+ * pixels and integer sums (flow/sad_kernels.h, flow/rfbme.h); tests
+ * verify it produces the same field, rf_errors and total_error as the
+ * functional rfbme(), bit for bit.
  */
 #ifndef EVA2_HW_DIFF_TILE_SIM_H
 #define EVA2_HW_DIFF_TILE_SIM_H

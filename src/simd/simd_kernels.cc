@@ -452,206 +452,211 @@ warp_apply_nearest_simd(const float *plane, const i32 *off, i64 n,
     }
 }
 
+void
+quantize_pixels_simd(const float *in, i64 n, u8 *out)
+{
+    i64 i = 0;
+#if defined(EVA2_SIMD_ISA_AVX2)
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 scale = _mm256_set1_ps(255.0f);
+    // packus interleaves 128-bit lanes; this restores pixel order.
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    const auto q = [&](const float *p) {
+        // max(x, 0) returns the second operand (0) for NaN x.
+        const __m256 c = _mm256_min_ps(
+            _mm256_max_ps(_mm256_loadu_ps(p), zero), one);
+        return _mm256_cvtps_epi32(_mm256_mul_ps(c, scale));
+    };
+    for (; i + 32 <= n; i += 32) {
+        const __m256i w01 =
+            _mm256_packus_epi32(q(in + i), q(in + i + 8));
+        const __m256i w23 =
+            _mm256_packus_epi32(q(in + i + 16), q(in + i + 24));
+        const __m256i b = _mm256_packus_epi16(w01, w23);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i),
+                            _mm256_permutevar8x32_epi32(b, order));
+    }
+#endif
+    quantize_pixels(in + i, n - i, out + i);
+}
+
+i64
+sad_span_u8_simd(const u8 *a, const u8 *b, i64 n)
+{
+    i64 i = 0;
+    i64 total = 0;
+#if defined(EVA2_SIMD_ISA_AVX2)
+    __m256i acc = _mm256_setzero_si256();
+    for (; i + 32 <= n; i += 32) {
+        acc = _mm256_add_epi64(
+            acc,
+            _mm256_sad_epu8(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i)),
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(b + i))));
+    }
+    __m128i acc128 = _mm_add_epi64(_mm256_castsi256_si128(acc),
+                                   _mm256_extracti128_si256(acc, 1));
+    if (i + 16 <= n) {
+        acc128 = _mm_add_epi64(
+            acc128,
+            _mm_sad_epu8(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i)),
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i))));
+        i += 16;
+    }
+    total = _mm_cvtsi128_si64(acc128) + _mm_extract_epi64(acc128, 1);
+#endif
+    return total + sad_span_u8(a + i, b + i, n - i);
+}
+
 #if defined(EVA2_SIMD_ISA_AVX2)
 namespace {
 
-/**
- * Lane-parallel |double(a) - double(b)| of four float lanes. The
- * widening happens before the subtraction — that order is part of
- * the bit-exactness contract with the scalar sad_span.
- */
-inline __m256d
-sad_abs_diff_pd(__m128 fa, __m128 fb)
+inline __m256i
+load32(const u8 *p)
 {
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    return _mm256_andnot_pd(
-        sign, _mm256_sub_pd(_mm256_cvtps_pd(fa), _mm256_cvtps_pd(fb)));
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
 }
 
 /**
- * The fixed pairwise stripe reduction ((s0+s1)+(s2+s3)) +
- * ((s4+s5)+(s6+s7)) for stripe vectors lo = [s0..s3], hi = [s4..s7].
- * hadd interleaves the 128-bit lanes, giving [s01, s45, s23, s67];
- * adding its halves yields [s01+s23, s45+s67], and the final scalar
- * add matches the scalar tree's root exactly.
+ * Add the four u64 lanes of a SAD accumulator to their tiles: lane l
+ * of 32-byte block j sums bytes starting at 8 * (4j + l) + `first`
+ * (the sub-lane's first byte), which lie in tile
+ * (8 * (4j + l) + first) / s. Lanes past the last tile only ever saw
+ * padding and are dropped.
  */
-inline double
-sad_reduce_stripes(__m256d lo, __m256d hi)
-{
-    const __m256d h = _mm256_hadd_pd(lo, hi);
-    const __m128d q = _mm_add_pd(_mm256_castpd256_pd128(h),
-                                 _mm256_extractf128_pd(h, 1));
-    return _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
-}
-
-/**
- * Tile row of whole 8-float groups (s = 8 * kGroups): keep each
- * tile's stripe vectors in registers and reduce tiles in transposed
- * batches of four so the horizontal work amortizes across the row.
- * Per tile, hadd + permute yield [s01, s23, s45, s67]; a second hadd
- * level pairs tiles into [A_L, B_L, A_H, B_H] (L = s01+s23,
- * H = s45+s67), and regrouping the 128-bit halves before the final
- * add produces each tile's exact scalar tree root
- * (s01+s23)+(s45+s67) — bit-exact, just four tiles at a time. The
- * compile-time group count lets the inner loop unroll fully for the
- * common receptive-field strides.
- */
-template <i64 kGroups>
 inline void
-sad_tile_row_groups(const float *a, const float *b, i64 tiles,
-                    double *acc)
+fold_lanes(__m256i acc, i64 j, i64 first, i64 s, i64 tiles, i32 *out)
 {
-    const i64 s = kGroups * 8;
-    i64 t = 0;
-    for (; t + 4 <= tiles; t += 4) {
-        __m256d part[4];
-        for (i64 j = 0; j < 4; ++j) {
-            const float *pa = a + (t + j) * s;
-            const float *pb = b + (t + j) * s;
-            __m256d lo = _mm256_setzero_pd();
-            __m256d hi = _mm256_setzero_pd();
-            for (i64 g = 0; g < kGroups; ++g) {
-                lo = _mm256_add_pd(
-                    lo, sad_abs_diff_pd(_mm_loadu_ps(pa + g * 8),
-                                        _mm_loadu_ps(pb + g * 8)));
-                hi = _mm256_add_pd(
-                    hi,
-                    sad_abs_diff_pd(_mm_loadu_ps(pa + g * 8 + 4),
-                                    _mm_loadu_ps(pb + g * 8 + 4)));
-            }
-            const __m256d h = _mm256_hadd_pd(lo, hi);
-            part[j] =
-                _mm256_permute4x64_pd(h, _MM_SHUFFLE(3, 1, 2, 0));
+    alignas(32) u64 lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
+    for (i64 l = 0; l < 4; ++l) {
+        const i64 t = (8 * (4 * j + l) + first) / s;
+        if (t < tiles) {
+            out[t] += static_cast<i32>(lanes[l]);
         }
-        const __m256d q01 = _mm256_hadd_pd(part[0], part[1]);
-        const __m256d q23 = _mm256_hadd_pd(part[2], part[3]);
-        const __m256d lo128 = _mm256_permute2f128_pd(q01, q23, 0x20);
-        const __m256d hi128 = _mm256_permute2f128_pd(q01, q23, 0x31);
-        const __m256d sums = _mm256_add_pd(lo128, hi128);
-        _mm256_storeu_pd(
-            acc + t, _mm256_add_pd(_mm256_loadu_pd(acc + t), sums));
     }
-    for (; t < tiles; ++t) {
-        acc[t] += sad_span_simd(a + t * s, b + t * s, s);
+}
+
+/**
+ * s % 8 == 0: kNv 32-byte blocks per pass, each summed over all rows
+ * by one _mm256_sad_epu8 per row (32 |cur & mask - key| in one
+ * instruction, eight per u64 lane), then folded into tiles once.
+ */
+template <i64 kNv>
+inline void
+band_whole_lanes(const u8 *cur, i64 cur_stride, const u8 *key,
+                 i64 key_stride, const u8 *mask, i64 rows, i64 j0,
+                 i64 s, i64 tiles, i32 *out)
+{
+    __m256i acc[kNv];
+    __m256i m[kNv];
+    for (i64 v = 0; v < kNv; ++v) {
+        acc[v] = _mm256_setzero_si256();
+        m[v] = load32(mask + (j0 + v) * 32);
+    }
+    for (i64 r = 0; r < rows; ++r) {
+        const u8 *c = cur + r * cur_stride + j0 * 32;
+        const u8 *k = key + r * key_stride + j0 * 32;
+        for (i64 v = 0; v < kNv; ++v) {
+            acc[v] = _mm256_add_epi64(
+                acc[v], _mm256_sad_epu8(
+                            _mm256_and_si256(load32(c + v * 32), m[v]),
+                            load32(k + v * 32)));
+        }
+    }
+    for (i64 v = 0; v < kNv; ++v) {
+        fold_lanes(acc[v], j0 + v, 0, s, tiles, out);
+    }
+}
+
+/**
+ * s = 8 / kSub for kSub in {2, 4, 8}: each u64 lane holds kSub
+ * tiles, so the byte differences are split with kSub byte masks and
+ * each part summed by its own SAD against zero.
+ */
+template <i64 kSub>
+inline void
+band_split_lanes(const u8 *cur, i64 cur_stride, const u8 *key,
+                 i64 key_stride, const u8 *mask, i64 rows, i64 nvec,
+                 i64 tiles, i32 *out)
+{
+    constexpr i64 kW = 8 / kSub;
+    __m256i part[kSub]; // bytes [k*kW, (k+1)*kW) of every u64 lane
+    for (i64 k = 0; k < kSub; ++k) {
+        part[k] = _mm256_set1_epi64x(static_cast<long long>(
+            ((u64{1} << (8 * kW)) - 1) << (8 * kW * k)));
+    }
+    const __m256i zero = _mm256_setzero_si256();
+    for (i64 j = 0; j < nvec; ++j) {
+        const __m256i m = load32(mask + j * 32);
+        __m256i acc[kSub];
+        for (i64 k = 0; k < kSub; ++k) {
+            acc[k] = zero;
+        }
+        for (i64 r = 0; r < rows; ++r) {
+            const __m256i a =
+                _mm256_and_si256(load32(cur + r * cur_stride + j * 32), m);
+            const __m256i b = load32(key + r * key_stride + j * 32);
+            const __m256i d = _mm256_or_si256(_mm256_subs_epu8(a, b),
+                                              _mm256_subs_epu8(b, a));
+            for (i64 k = 0; k < kSub; ++k) {
+                acc[k] = _mm256_add_epi64(
+                    acc[k],
+                    _mm256_sad_epu8(_mm256_and_si256(d, part[k]), zero));
+            }
+        }
+        for (i64 k = 0; k < kSub; ++k) {
+            fold_lanes(acc[k], j, k * kW, kW, tiles, out);
+        }
     }
 }
 
 } // namespace
 #endif
 
-double
-sad_span_simd(const float *a, const float *b, i64 n)
-{
-#if defined(EVA2_SIMD_ISA_AVX2)
-    // Stripe vectors: lanes of `lo` are stripes 0..3, lanes of `hi`
-    // stripes 4..7, accumulated in ascending-i order like the scalar
-    // reference.
-    __m256d lo = _mm256_setzero_pd();
-    __m256d hi = _mm256_setzero_pd();
-    i64 i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 fa = _mm256_loadu_ps(a + i);
-        const __m256 fb = _mm256_loadu_ps(b + i);
-        lo = _mm256_add_pd(lo,
-                           sad_abs_diff_pd(_mm256_castps256_ps128(fa),
-                                           _mm256_castps256_ps128(fb)));
-        hi = _mm256_add_pd(hi,
-                           sad_abs_diff_pd(_mm256_extractf128_ps(fa, 1),
-                                           _mm256_extractf128_ps(fb, 1)));
-    }
-    if (i < n) {
-        double st[8];
-        _mm256_storeu_pd(st, lo);
-        _mm256_storeu_pd(st + 4, hi);
-        for (; i < n; ++i) {
-            st[i % 8] += std::fabs(static_cast<double>(a[i]) -
-                                   static_cast<double>(b[i]));
-        }
-        const double s01 = st[0] + st[1];
-        const double s23 = st[2] + st[3];
-        const double s45 = st[4] + st[5];
-        const double s67 = st[6] + st[7];
-        return (s01 + s23) + (s45 + s67);
-    }
-    return sad_reduce_stripes(lo, hi);
-#else
-    return sad_span(a, b, n);
-#endif
-}
-
 void
-sad_tile_row_simd(const float *a, const float *b, i64 tiles, i64 s,
-                  double *acc)
+sad_tile_band_u8_simd(const u8 *cur, i64 cur_stride, const u8 *key,
+                      i64 key_stride, const u8 *mask, i64 rows,
+                      i64 tiles, i64 s, i32 *out)
 {
 #if defined(EVA2_SIMD_ISA_AVX2)
-    if (s == 2) {
-        // One 8-float load spans 4 tiles; hadd pairs the lanes into
-        // per-tile sums [t0, t2, t1, t3], and the permute restores
-        // tile order. A width-2 span's stripe reduction is exactly
-        // e0+e1 (the other stripes are +0.0), so this is bit-exact.
-        i64 t = 0;
-        for (; t + 4 <= tiles; t += 4) {
-            const __m256 fa = _mm256_loadu_ps(a + t * 2);
-            const __m256 fb = _mm256_loadu_ps(b + t * 2);
-            const __m256d d_lo =
-                sad_abs_diff_pd(_mm256_castps256_ps128(fa),
-                                _mm256_castps256_ps128(fb));
-            const __m256d d_hi =
-                sad_abs_diff_pd(_mm256_extractf128_ps(fa, 1),
-                                _mm256_extractf128_ps(fb, 1));
-            const __m256d h = _mm256_hadd_pd(d_lo, d_hi);
-            const __m256d tile =
-                _mm256_permute4x64_pd(h, _MM_SHUFFLE(3, 1, 2, 0));
-            _mm256_storeu_pd(
-                acc + t, _mm256_add_pd(_mm256_loadu_pd(acc + t), tile));
-        }
-        for (; t < tiles; ++t) {
-            acc[t] += sad_span_simd(a + t * 2, b + t * 2, 2);
-        }
-        return;
-    }
-    if (s == 4) {
-        // One 8-float load spans 2 tiles; two hadd levels produce
-        // each tile's exact (e0+e1)+(e2+e3) reduction.
-        i64 t = 0;
-        for (; t + 2 <= tiles; t += 2) {
-            const __m256 fa = _mm256_loadu_ps(a + t * 4);
-            const __m256 fb = _mm256_loadu_ps(b + t * 4);
-            const __m256d d_lo =
-                sad_abs_diff_pd(_mm256_castps256_ps128(fa),
-                                _mm256_castps256_ps128(fb));
-            const __m256d d_hi =
-                sad_abs_diff_pd(_mm256_extractf128_ps(fa, 1),
-                                _mm256_extractf128_ps(fb, 1));
-            const __m256d h = _mm256_hadd_pd(d_lo, d_hi);
-            const __m128d q = _mm_add_pd(_mm256_castpd256_pd128(h),
-                                         _mm256_extractf128_pd(h, 1));
-            _mm_storeu_pd(acc + t,
-                          _mm_add_pd(_mm_loadu_pd(acc + t), q));
-        }
-        for (; t < tiles; ++t) {
-            acc[t] += sad_span_simd(a + t * 4, b + t * 4, 4);
-        }
-        return;
-    }
+    const i64 nvec = (tiles * s + 31) / 32;
     if (s % 8 == 0) {
-        // Batched transposed reduction (sad_tile_row_groups) for the
-        // common receptive-field strides; larger multiples of 8 fall
-        // through to the per-tile path.
-        switch (s / 8) {
-          case 1: sad_tile_row_groups<1>(a, b, tiles, acc); return;
-          case 2: sad_tile_row_groups<2>(a, b, tiles, acc); return;
-          case 3: sad_tile_row_groups<3>(a, b, tiles, acc); return;
-          case 4: sad_tile_row_groups<4>(a, b, tiles, acc); return;
-          default: break;
+        std::fill(out, out + tiles, 0);
+        i64 j = 0;
+        for (; j + 4 <= nvec; j += 4) {
+            band_whole_lanes<4>(cur, cur_stride, key, key_stride, mask,
+                                rows, j, s, tiles, out);
+        }
+        for (; j < nvec; ++j) {
+            band_whole_lanes<1>(cur, cur_stride, key, key_stride, mask,
+                                rows, j, s, tiles, out);
+        }
+        return;
+    }
+    if (8 % s == 0) {
+        std::fill(out, out + tiles, 0);
+        switch (s) {
+          case 1:
+            band_split_lanes<8>(cur, cur_stride, key, key_stride, mask,
+                                rows, nvec, tiles, out);
+            return;
+          case 2:
+            band_split_lanes<4>(cur, cur_stride, key, key_stride, mask,
+                                rows, nvec, tiles, out);
+            return;
+          default:
+            band_split_lanes<2>(cur, cur_stride, key, key_stride, mask,
+                                rows, nvec, tiles, out);
+            return;
         }
     }
-    for (i64 t = 0; t < tiles; ++t) {
-        acc[t] += sad_span_simd(a + t * s, b + t * s, s);
-    }
-#else
-    sad_tile_row(a, b, tiles, s, acc);
 #endif
+    sad_tile_band_u8(cur, cur_stride, key, key_stride, mask, rows, tiles,
+                     s, out);
 }
 
 } // namespace eva2

@@ -11,12 +11,13 @@
  *
  * Two numeric classes of kernel live here:
  *
- *  - Bit-exact: relu_simd, the warp_apply_* kernels, the SAD kernels
- *    (sad_span_simd / sad_tile_row_simd), and the kExact GEMM tile
- *    perform, per element, exactly the operation sequence of the
- *    scalar reference (lane-parallel max / mul / add, no fma, no
- *    reordering; the SAD kernels reproduce the fixed-stripe reduction
- *    contract of flow/sad_kernels.h). They are drop-in replacements,
+ *  - Bit-exact: relu_simd, the warp_apply_* kernels, the u8 pixel
+ *    quantizer, and the kExact GEMM tile perform, per element,
+ *    exactly the operation sequence of the scalar reference
+ *    (lane-parallel max / mul / add, no fma, no reordering). The u8
+ *    SAD kernels (sad_span_u8_simd / sad_tile_band_u8_simd) sum
+ *    integers, so any order gives the scalar result. All of these
+ *    are drop-in replacements,
  *    need no divergence gating, and run by default wherever
  *    simd_supported().
  *  - Bounded-divergence: the fma GEMM register tiles (one rounding
@@ -157,27 +158,29 @@ void warp_apply_nearest_simd(const float *plane, const i32 *off, i64 n,
                              float *out);
 
 /**
- * SIMD sum of |a[i] - b[i]| over i in [0, n): bit-exact vs the
- * scalar sad_span in flow/sad_kernels.h. Each float is widened to
- * double *before* the subtraction (float subtract-then-widen rounds
- * differently), elements accumulate into the same 8 stripes
- * (element i -> stripe i%8), and the stripes reduce through the same
- * pairwise tree, so the result is identical on every input.
+ * SIMD u8 pixel quantizer: out[i] = quantize_pixel(in[i]) from
+ * flow/sad_kernels.h, bit for bit. max(x, 0) returns its second
+ * operand for a NaN lane (NaN -> 0), the product is one float
+ * multiply, and the conversion rounds half to even like
+ * std::nearbyint under the default rounding mode.
  */
-double sad_span_simd(const float *a, const float *b, i64 n);
+void quantize_pixels_simd(const float *in, i64 n, u8 *out);
+
+/** SIMD sad_span_u8: 32 |a - b| per _mm256_sad_epu8. */
+i64 sad_span_u8_simd(const u8 *a, const u8 *b, i64 n);
 
 /**
- * SIMD diff-tile row kernel: acc[t] += sad_span(a + t*s, b + t*s, s)
- * for t in [0, tiles). Bit-exact vs flow/sad_kernels.h
- * sad_tile_row. Narrow tiles (s = 2 and s = 4) vectorize *across*
- * adjacent tiles — one 8-float load covers 4 (resp. 2) tiles and a
- * horizontal pairwise add produces each tile's stripe reduction
- * exactly (for n < 8 the unused stripes of the scalar contract are
- * +0.0, an exact no-op) — wider tiles vectorize within the tile like
- * sad_span_simd.
+ * SIMD sad_tile_band_u8 (same contract and the same integer result).
+ * Tile widths with s % 8 == 0 fold whole 8-byte SAD lanes into tiles;
+ * s in {1, 2, 4} splits each lane with byte-masked SADs; any other s
+ * runs the scalar kernel. The vector loads read whole 32-byte blocks:
+ * `cur`, `key` and `mask` rows must stay readable up to
+ * round_up(tiles * s, 32) bytes (bytes past tiles * s only feed
+ * lanes that belong to no tile).
  */
-void sad_tile_row_simd(const float *a, const float *b, i64 tiles,
-                       i64 s, double *acc);
+void sad_tile_band_u8_simd(const u8 *cur, i64 cur_stride, const u8 *key,
+                           i64 key_stride, const u8 *mask, i64 rows,
+                           i64 tiles, i64 s, i32 *out);
 
 } // namespace eva2
 

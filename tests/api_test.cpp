@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -455,6 +457,35 @@ TEST(Engine, PerFrameOutcomesMatchBatchRecords)
     }
     EXPECT_EQ(cam.completed(), 4);
     EXPECT_EQ(cam.report().digest, batch.streams[0].digest);
+}
+
+TEST(Engine, NonFiniteFramesAreKeyFramesUnderAdaptiveError)
+{
+    // A corrupt frame (all NaN, +inf or -inf) must not look like a
+    // perfect match: its RFBME error exceeds the threshold, so the
+    // adaptive policy runs the CNN on it instead of predicting.
+    EngineFixture fx;
+    EngineConfig c = fx.serial_config();
+    c.policy = "adaptive_error:th=0.04,max_gap=16";
+    Engine engine(fx.net, c);
+    Session &cam = engine.session("cam");
+    const Sequence &seq = fx.streams[0];
+    EXPECT_TRUE(cam.wait(cam.submit(seq[0].image)).is_key);
+    const FrameOutcome normal = cam.wait(cam.submit(seq[1].image));
+    EXPECT_LT(normal.match_error, 0.04);
+
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const float v : {std::nanf(""), inf, -inf}) {
+        Tensor bad(seq[0].image.shape());
+        bad.fill(v);
+        const FrameOutcome out = cam.wait(cam.submit(bad));
+        EXPECT_FALSE(out.failed) << v;
+        EXPECT_TRUE(out.is_key) << v;
+        EXPECT_GT(out.match_error, 0.04) << v;
+        // Back to the scene: a real frame against the corrupt key.
+        const FrameOutcome back = cam.wait(cam.submit(seq[2].image));
+        EXPECT_TRUE(back.is_key) << v;
+    }
 }
 
 TEST(Engine, ConcurrentSubmissionFromManyThreads)

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "flow/block_matching.h"
 #include "flow/optical_flow.h"
 #include "flow/rfbme.h"
@@ -31,6 +34,23 @@ noise_frame(i64 h, i64 w, u64 seed, double scale = 10.0)
         }
     }
     return t;
+}
+
+/** Exact equality of two motion fields. */
+bool
+fields_equal(const MotionField &a, const MotionField &b)
+{
+    if (a.height() != b.height() || a.width() != b.width()) {
+        return false;
+    }
+    for (i64 y = 0; y < a.height(); ++y) {
+        for (i64 x = 0; x < a.width(); ++x) {
+            if (a.at(y, x) != b.at(y, x)) {
+                return false;
+            }
+        }
+    }
+    return true;
 }
 
 TEST(MotionField, UniformAndMagnitude)
@@ -107,6 +127,45 @@ TEST(Rfbme, ErrorGrowsWithSceneChange)
     EXPECT_LT(err_shift, err_other);
 }
 
+TEST(Rfbme, QuantizerClampsRoundsHalfEvenAndZeroesNan)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(quantize_pixel(std::nanf("")), 0);
+    EXPECT_EQ(quantize_pixel(-inf), 0);
+    EXPECT_EQ(quantize_pixel(inf), 255);
+    EXPECT_EQ(quantize_pixel(-0.25f), 0);
+    EXPECT_EQ(quantize_pixel(1.75f), 255);
+    EXPECT_EQ(quantize_pixel(0.0f), 0);
+    EXPECT_EQ(quantize_pixel(1.0f), 255);
+    EXPECT_EQ(quantize_pixel(0.5f), 128); // 127.5 rounds to even
+}
+
+TEST(Rfbme, NonFiniteFramesScoreAsMismatches)
+{
+    // Regression: with double arithmetic a NaN pixel made every
+    // candidate's error NaN, no offset won, and the cell reported 0 —
+    // a corrupt frame looked like a perfect match. Quantized, NaN and
+    // -inf read as black and +inf as white, so they score like any
+    // other frame that differs from the key.
+    const Tensor key = noise_frame(48, 48, 12);
+    const RfbmeConfig cfg{16, 8, 0, 8, 4};
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const float v : {std::nanf(""), inf, -inf}) {
+        Tensor bad(1, 48, 48);
+        bad.fill(v);
+        const RfbmeResult r = rfbme(key, bad, cfg);
+        EXPECT_GT(r.mean_error, 0.05) << v;
+        EXPECT_TRUE(std::isfinite(r.total_error)) << v;
+    }
+    // A NaN-laced frame is no longer a perfect match either.
+    Tensor laced = key;
+    for (i64 i = 0; i < laced.size(); i += 7) {
+        laced[i] = std::nanf("");
+    }
+    EXPECT_GT(rfbme(key, laced, cfg).mean_error, 0.0);
+    EXPECT_EQ(rfbme(key, key, cfg).mean_error, 0.0);
+}
+
 /** Parameterized equivalence sweep: optimized RFBME == naive RFBME. */
 struct RfbmeCase
 {
@@ -130,25 +189,15 @@ TEST_P(RfbmeEquivalence, MatchesNaiveReference)
     for (i64 i = 0; i < cur.size(); ++i) {
         cur[i] += rng.uniform_f(-0.01f, 0.01f);
     }
+    // Both sum the same u8 differences as integers and share the
+    // tie rule, so they agree exactly: same vectors, same errors.
     RfbmeResult fast = rfbme(key, cur, tc.cfg);
     RfbmeResult naive = rfbme_naive(key, cur, tc.cfg);
     ASSERT_EQ(fast.field.height(), naive.field.height());
     ASSERT_EQ(fast.field.width(), naive.field.width());
-    for (i64 y = 0; y < fast.field.height(); ++y) {
-        for (i64 x = 0; x < fast.field.width(); ++x) {
-            const double fe =
-                fast.rf_errors[static_cast<size_t>(y * fast.field.width() +
-                                                   x)];
-            const double ne = naive.rf_errors[static_cast<size_t>(
-                y * naive.field.width() + x)];
-            EXPECT_NEAR(fe, ne, 1e-9) << y << "," << x;
-            // Vectors match unless two offsets tie to within rounding.
-            if (fast.field.at(y, x) != naive.field.at(y, x)) {
-                EXPECT_NEAR(fe, ne, 1e-9);
-            }
-        }
-    }
-    EXPECT_NEAR(fast.total_error, naive.total_error, 1e-6);
+    EXPECT_TRUE(fields_equal(fast.field, naive.field));
+    EXPECT_EQ(fast.rf_errors, naive.rf_errors);
+    EXPECT_EQ(fast.total_error, naive.total_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -225,8 +274,10 @@ TEST(BlockMatch, ThreeStepCloseToExhaustive)
 TEST(BlockMatch, MadOfIdenticalBlocksIsZero)
 {
     Tensor key = noise_frame(32, 32, 12);
-    EXPECT_DOUBLE_EQ(block_mad(key, key, 8, 8, 8, 0, 0), 0.0);
-    EXPECT_GT(block_mad(key, key, 8, 8, 8, 3, 3), 0.0);
+    PixelPlane q;
+    quantize_frame(key, q);
+    EXPECT_DOUBLE_EQ(block_mad(q, q, 8, 8, 8, 0, 0), 0.0);
+    EXPECT_GT(block_mad(q, q, 8, 8, 8, 3, 3), 0.0);
 }
 
 TEST(BlockMatch, DiamondRecoversSmallTranslation)
@@ -283,6 +334,10 @@ TEST_P(FastSearchSweep, NearOptimalMatchError)
     Tensor cur = translate(key, dy, dx);
     BlockMatchConfig cfg{8, 8, 1};
     MotionField ex = exhaustive_block_match(key, cur, cfg);
+    PixelPlane kq;
+    PixelPlane cq;
+    quantize_frame(key, kq);
+    quantize_frame(cur, cq);
     for (const MotionField &fast :
          {three_step_search(key, cur, cfg),
           diamond_search(key, cur, cfg)}) {
@@ -290,12 +345,12 @@ TEST_P(FastSearchSweep, NearOptimalMatchError)
         for (i64 y = 0; y < ex.height(); ++y) {
             for (i64 x = 0; x < ex.width(); ++x) {
                 const double optimal = block_mad(
-                    key, cur, y * cfg.block_size, x * cfg.block_size,
+                    kq, cq, y * cfg.block_size, x * cfg.block_size,
                     cfg.block_size,
                     static_cast<i64>(ex.at(y, x).dy),
                     static_cast<i64>(ex.at(y, x).dx));
                 const double got = block_mad(
-                    key, cur, y * cfg.block_size, x * cfg.block_size,
+                    kq, cq, y * cfg.block_size, x * cfg.block_size,
                     cfg.block_size,
                     static_cast<i64>(fast.at(y, x).dy),
                     static_cast<i64>(fast.at(y, x).dx));
@@ -380,22 +435,6 @@ TEST(OpticalFlow, ZeroFlowOnIdenticalFrames)
 // nor regrows the caller-owned workspaces (pinned by buffer-address
 // stability across repeated calls).
 
-bool
-fields_equal(const MotionField &a, const MotionField &b)
-{
-    if (a.height() != b.height() || a.width() != b.width()) {
-        return false;
-    }
-    for (i64 y = 0; y < a.height(); ++y) {
-        for (i64 x = 0; x < a.width(); ++x) {
-            if (a.at(y, x) != b.at(y, x)) {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
 TEST(RfbmeInto, MatchesAllocatingFormAndReusesWorkspace)
 {
     const Tensor key = noise_frame(64, 64, 31);
@@ -417,9 +456,9 @@ TEST(RfbmeInto, MatchesAllocatingFormAndReusesWorkspace)
     const Vec2 *field_buf = &result.field.at(0, 0);
     const double *errors_buf = result.rf_errors.data();
     const Vec2 *offsets_buf = ws.offsets.data();
-    const double *chunk_buf = ws.chunks.empty()
+    const i64 *chunk_buf = ws.chunks.empty()
                                   ? nullptr
-                                  : ws.chunks.front().best.data();
+                                  : ws.chunks.front().best_sum.data();
     const u64 before = Tensor::buffer_allocations();
     rfbme_into(key, cur, config, result, ws);
     EXPECT_EQ(Tensor::buffer_allocations() - before, 0u);
@@ -427,7 +466,7 @@ TEST(RfbmeInto, MatchesAllocatingFormAndReusesWorkspace)
     EXPECT_EQ(result.rf_errors.data(), errors_buf);
     EXPECT_EQ(ws.offsets.data(), offsets_buf);
     if (chunk_buf != nullptr) {
-        EXPECT_EQ(ws.chunks.front().best.data(), chunk_buf);
+        EXPECT_EQ(ws.chunks.front().best_sum.data(), chunk_buf);
     }
     EXPECT_TRUE(fields_equal(result.field, expect.field));
 }
@@ -451,12 +490,12 @@ TEST(RfbmeInto, WorkspaceSurvivesAConfigChange)
 }
 
 // --------------------------------------------------------------------
-// RFBME variant parity: the scalar and SIMD diff-tile producers must
-// be bit-identical on every input (the fixed-stripe SAD contract of
-// flow/sad_kernels.h), and both must stay within tolerance of the
-// naive reference. On machines or builds without SIMD support the
-// kSimd variant falls back to the scalar kernels, so this suite is
-// meaningful in the EVA2_SIMD=OFF and sanitizer CI legs too.
+// RFBME variant parity: the scalar and SIMD diff-tile producers sum
+// the same integers (flow/sad_kernels.h), so they are bit-identical on
+// every input, and so is the naive reference. On machines or builds
+// without SIMD support the kSimd variant falls back to the scalar
+// kernel, so this suite is meaningful in the EVA2_SIMD=OFF and
+// sanitizer CI legs too; tests/rfbme_fuzz_test.cpp widens it.
 
 void
 expect_bit_identical(const RfbmeResult &a, const RfbmeResult &b)
@@ -475,9 +514,9 @@ TEST(RfbmeParity, ScalarAndSimdBitIdenticalAcrossBorderClipping)
 {
     // Odd shapes, pads, and strides, with search radii at or past the
     // image extent so candidate offsets clip at every border. Tile
-    // widths cover each SIMD code path: s=2 and s=4 vectorize across
-    // tiles, s=8 is one full vector, s=13 exercises the vector +
-    // stripe-remainder path, s=3 the scalar-contract tail.
+    // widths cover each band-kernel path: s=2 and s=4 split SAD
+    // lanes, s=8 folds whole lanes, s=3 and s=13 run the scalar
+    // kernel.
     const RfbmeCase cases[] = {
         {19, 23, {5, 3, 1, 30, 7}, 61},
         {18, 14, {6, 2, 2, 16, 3}, 62},
@@ -502,14 +541,14 @@ TEST(RfbmeParity, ScalarAndSimdBitIdenticalAcrossBorderClipping)
         const RfbmeResult rv = rfbme(key, cur, simd_cfg);
         expect_bit_identical(rs, rv);
 
-        // Both variants stay the optimized algorithm: tolerance vs
-        // the naive per-field reference (which sums in a different
-        // order by construction), same output geometry.
+        // The naive per-field reference recomputes every field from
+        // pixels; on integers it lands on the same bits.
         const RfbmeResult naive = rfbme_naive(key, cur, tc.cfg);
         ASSERT_EQ(rs.field.height(), naive.field.height());
         ASSERT_EQ(rs.field.width(), naive.field.width());
+        EXPECT_TRUE(fields_equal(rs.field, naive.field));
         for (size_t i = 0; i < rs.rf_errors.size(); ++i) {
-            EXPECT_NEAR(rs.rf_errors[i], naive.rf_errors[i], 1e-9)
+            EXPECT_EQ(rs.rf_errors[i], naive.rf_errors[i])
                 << tc.h << "x" << tc.w << " cell " << i;
         }
     }

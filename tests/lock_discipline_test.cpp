@@ -36,8 +36,8 @@ namespace eva2 {
 namespace {
 
 /**
- * A small network plus Q8.8-pre-snapped streams (so hibernation
- * round-trips losslessly), and enough sessions to keep the engine
+ * A small network plus raw streams (hibernation is lossless for any
+ * pixels), and enough sessions to keep the engine
  * over its 1 MB budget — every commit then runs the eviction pass
  * that takes the engine mutex, which is the lock the old report()
  * deadlocked against.
@@ -53,11 +53,6 @@ struct EvictingFixture
           protos(multi_stream_set(/*seed=*/47, /*num_streams=*/2,
                                   /*frames_per_stream=*/4))
     {
-        for (Sequence &seq : protos) {
-            for (LabeledFrame &frame : seq.frames) {
-                frame.image = quantize_q88(frame.image);
-            }
-        }
         // Size the session count so their resident forms overflow
         // the 1 MB budget by a couple of sessions' worth.
         Engine probe(net, config(num_threads, "budget_mb:1048576"));

@@ -4,9 +4,10 @@
  * ResidentSetManager bookkeeping (bytes, LRU order, hibernate/hydrate
  * counters), and the Engine-level contract — a hard budget enforced
  * by LRU hibernation that is *invisible to results*: every digest
- * must match a budget-less run bit for bit, because hibernation only
- * re-encodes state the quantizing codec already snapped to the Q8.8
- * grid. See docs/resident_state.md.
+ * must match a budget-less run bit for bit, for any input frames,
+ * because hibernation keeps the RLE key activation and the u8 key
+ * pixels verbatim and only drops what can be rebuilt from them. See
+ * docs/resident_state.md.
  */
 #include <gtest/gtest.h>
 
@@ -158,10 +159,9 @@ TEST(ResidentSetManager, HibernationLeavesLruUntilNextTouch)
 // Engine-level behaviour
 
 /**
- * Shared fixture: a small network and proto streams whose pixels are
- * pre-snapped to the Q8.8 grid, so the hibernated (quantized) key
- * state round-trips losslessly and digest identity is exact even for
- * sessions that were evicted mid-stream.
+ * Shared fixture: a small network and proto streams of raw rendered
+ * frames (not snapped to any grid), so digest identity after
+ * hibernation is exact for arbitrary pixels.
  */
 struct ResidentFixture
 {
@@ -173,11 +173,6 @@ struct ResidentFixture
           protos(multi_stream_set(/*seed=*/31, /*num_streams=*/3,
                                   /*frames_per_stream=*/4))
     {
-        for (Sequence &seq : protos) {
-            for (LabeledFrame &frame : seq.frames) {
-                frame.image = quantize_q88(frame.image);
-            }
-        }
     }
 
     EngineConfig
@@ -384,6 +379,80 @@ TEST(ResidentTier, HibernateHydrateDigestIdentityAcrossConfigs)
     }
 }
 
+TEST(ResidentTier, HibernatingBetweenEveryFrameKeepsDigests)
+{
+    // Round-robin one frame per session over more sessions than the
+    // budget holds: LRU eviction then hibernates every session
+    // between each pair of its frames, and every next frame hydrates
+    // it. On raw (unsnapped) frames, every frame's RFBME match error
+    // and op count — computed against the key pixels that went
+    // through hibernation — and every stream digest must equal a
+    // budget-less engine fed the same way, under a policy that runs
+    // RFBME on every frame and one that keys every other frame.
+    ResidentFixture fx;
+    // Sized by the smallest footprint, a session fed only its first
+    // (key) frame, so even the first pass overflows the budget.
+    Engine probe(fx.net, fx.config("budget_mb:1048576"));
+    probe.session("probe").submit(fx.protos[0][0].image);
+    probe.flush();
+    const i64 per = probe.resident_manager()->stats().resident_bytes;
+    ASSERT_GT(per, 0);
+    const i64 sessions = 1LL * 1024 * 1024 / per + 3;
+    const i64 frames = fx.protos[0].size();
+    for (const char *policy :
+         {"adaptive_error:th=0.05,max_gap=8", "static:interval=2"}) {
+        struct Fed
+        {
+            std::vector<FrameOutcome> outcomes;
+            std::vector<u64> digests;
+            std::vector<i64> hibernations;
+        };
+        const auto feed = [&](const std::string &memory) {
+            EngineConfig config = fx.config(memory);
+            config.policy = policy;
+            Engine engine(fx.net, config);
+            std::vector<Session *> all;
+            for (i64 i = 0; i < sessions; ++i) {
+                all.push_back(&engine.session("cam" + std::to_string(i)));
+            }
+            Fed fed;
+            for (i64 f = 0; f < frames; ++f) {
+                for (i64 i = 0; i < sessions; ++i) {
+                    const FrameTicket t = all[i]->submit(
+                        fx.protos[i % fx.protos.size()][f].image);
+                    fed.outcomes.push_back(all[i]->wait(t));
+                }
+            }
+            const ResidentSetManager *mgr = engine.resident_manager();
+            for (Session *s : all) {
+                fed.digests.push_back(s->report().digest);
+                fed.hibernations.push_back(
+                    mgr ? mgr->hibernation_count(s->index()) : 0);
+            }
+            return fed;
+        };
+        const Fed control = feed("off");
+        const Fed hib = feed("budget_mb:1,hibernate=on");
+        for (i64 i = 0; i < sessions; ++i) {
+            EXPECT_GE(hib.hibernations[i], frames - 1)
+                << "session " << i << " under " << policy;
+            EXPECT_EQ(hib.digests[i], control.digests[i])
+                << "session " << i << " under " << policy;
+        }
+        ASSERT_EQ(hib.outcomes.size(), control.outcomes.size());
+        for (size_t k = 0; k < hib.outcomes.size(); ++k) {
+            EXPECT_EQ(hib.outcomes[k].is_key, control.outcomes[k].is_key)
+                << "frame " << k << " under " << policy;
+            EXPECT_EQ(hib.outcomes[k].match_error,
+                      control.outcomes[k].match_error)
+                << "frame " << k << " under " << policy;
+            EXPECT_EQ(hib.outcomes[k].me_add_ops,
+                      control.outcomes[k].me_add_ops)
+                << "frame " << k << " under " << policy;
+        }
+    }
+}
+
 TEST(ResidentTier, BatchRunHydratesAndMatchesBudgetlessDigest)
 {
     // run() feeds sessions, which hydrate on submit: a run() after a
@@ -442,14 +511,9 @@ TEST(ResidentTier, RunEnforcesTheBudget)
     // as session submission — every stream tracked, LRU hibernation
     // under the budget, digests unchanged.
     ResidentFixture fx;
-    std::vector<Sequence> streams =
+    const std::vector<Sequence> streams =
         multi_stream_set(/*seed=*/41, /*num_streams=*/16,
                          /*frames_per_stream=*/4);
-    for (Sequence &seq : streams) {
-        for (LabeledFrame &frame : seq.frames) {
-            frame.image = quantize_q88(frame.image);
-        }
-    }
     const i64 budget = 1LL * 1024 * 1024;
 
     Engine off(fx.net, fx.config("off"));

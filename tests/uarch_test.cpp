@@ -66,15 +66,17 @@ TEST_P(DiffTileEquivalence, MatchesFunctionalRfbme)
     DiffTileSimResult hw = simulate_diff_tile_pipeline(key, cur, tc.cfg);
     ASSERT_EQ(sw.field.height(), hw.field.height());
     ASSERT_EQ(sw.field.width(), hw.field.width());
+    // Same u8 pixels, integer sums and tie rule: exact agreement.
     for (i64 y = 0; y < sw.field.height(); ++y) {
         for (i64 x = 0; x < sw.field.width(); ++x) {
             const size_t i =
                 static_cast<size_t>(y * sw.field.width() + x);
-            EXPECT_NEAR(sw.rf_errors[i], hw.rf_errors[i], 1e-9)
+            EXPECT_EQ(sw.field.at(y, x), hw.field.at(y, x))
                 << y << "," << x;
+            EXPECT_EQ(sw.rf_errors[i], hw.rf_errors[i]) << y << "," << x;
         }
     }
-    EXPECT_NEAR(sw.total_error, hw.total_error, 1e-6);
+    EXPECT_EQ(sw.total_error, hw.total_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(
