@@ -12,9 +12,9 @@ seed they came from.
 
 Usage (from the repository root):
 
-    python3 scripts/bench_e2e.py --pr 16 --label change --seed 1
-    python3 scripts/bench_e2e.py --pr 16 --label parent --seed 1 \\
-        --binary /path/to/parent/evabench --commit 8ab7323
+    python3 scripts/bench_e2e.py --pr N --label change --seed 1
+    python3 scripts/bench_e2e.py --pr N --label parent --seed 1 \\
+        --binary /path/to/parent/evabench --commit SHA
 
 Without --binary the program is built from this checkout the way
 evabench/run.py builds it. --commit defaults to `git rev-parse --short
@@ -30,6 +30,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.dont_write_bytecode = True  # leave no __pycache__ inside evabench/
 sys.path.insert(0, os.path.join(ROOT, "evabench"))
 import run as evabench  # noqa: E402  (evabench/run.py)
 

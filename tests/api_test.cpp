@@ -488,6 +488,31 @@ TEST(Engine, NonFiniteFramesAreKeyFramesUnderAdaptiveError)
     }
 }
 
+TEST(Engine, IntegerRfbmeDigestsArePinned)
+{
+    // Faster16 at 128 px under the adaptive policy and the serving
+    // search (radius 28 at stride 2): the predicted frames' outputs
+    // depend on every RFBME winner, so these digests pin the u8
+    // quantizer, the integer search and its tie rule. The same
+    // values hold in EVA2_SIMD=OFF builds (scalar kernels).
+    const Network net =
+        build_scaled(faster16_spec(), ScaledBuildOptions{});
+    EngineConfig c;
+    c.policy = "adaptive_error:th=0.04,max_gap=16";
+    c.num_threads = 1;
+    c.pipeline_depth = 1;
+    c.batch = "off";
+    c.search_radius = 28;
+    Engine engine(net, c);
+    const RunReport r = engine.run(multi_stream_set(1, 2, 12));
+    ASSERT_EQ(r.streams.size(), 2u);
+    EXPECT_EQ(r.streams[0].digest, 0x09c4ff03d8c19770ULL);
+    EXPECT_EQ(r.streams[1].digest, 0x4b0c83baab47dc38ULL);
+    EXPECT_EQ(r.digest, 0x5f0bf583ef0f748aULL);
+    EXPECT_EQ(r.streams[0].me_add_ops + r.streams[1].me_add_ops,
+              252629344);
+}
+
 TEST(Engine, ConcurrentSubmissionFromManyThreads)
 {
     // The TSan target: many ingest threads, one per camera, pushing
