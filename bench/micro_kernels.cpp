@@ -154,6 +154,8 @@ constexpr ConvShape kConvShapes[] = {
     {"3x3_pad1_64px", 32, 64, 3, 1, 1, 64},
     {"5x5_stride2_96px", 16, 32, 5, 2, 2, 96},
     {"1x1_56px", 64, 64, 1, 1, 0, 56},
+    // conv1_2 of Faster16-128, the largest layer of the cams prefix.
+    {"3x3_16c_128px", 16, 16, 3, 1, 1, 128},
 };
 
 Network
@@ -231,10 +233,9 @@ conv_variant_bench(benchmark::State &state, const ConvShape &shape,
     }
     const Tensor in = conv_shape_input(shape);
     Tensor out(conv.out_shape(in.shape()));
-    Tensor col;
     for (auto _ : state) {
         conv_im2col_gemm(in, g, conv.weights().data(),
-                         conv.biases().data(), out, col,
+                         conv.biases().data(), out,
                          /*fuse_relu=*/true, variant);
         benchmark::DoNotOptimize(out.data().data());
     }

@@ -5,10 +5,10 @@ BENCH_e2e.json.
 A row holds the `evabench/run.py --compare` numbers of one code state
 and one seed: for amc_cams (the AMC serving case) and plain_cams (the
 plain-CNN baseline it must beat), the untraced end-to-end figures
-(fps, cpu_ms_per_frame, top1_agree, out_err) and the traced per-layer
-ones (flow.rfbme_ms, cnn.prefix_ms, core.key_frac,
-flow.add_ops_per_frame), plus the commit, machine, run length and
-seed they came from.
+(fps, cpu_ms_per_frame, top1_agree, out_err, peak_rss_mb) and the
+traced per-layer ones (flow.rfbme_ms, cnn.prefix_ms, cnn.conv_ms,
+core.key_frac, flow.add_ops_per_frame), plus the commit, machine, run
+length and seed they came from.
 
 Usage (from the repository root):
 
@@ -36,7 +36,8 @@ import run as evabench  # noqa: E402  (evabench/run.py)
 
 WORKLOADS = ("amc_cams", "plain_cams")
 FIELDS = ("fps", "cpu_ms_per_frame", "flow.rfbme_ms", "cnn.prefix_ms",
-          "core.key_frac", "out_err", "top1_agree", "flow.add_ops_per_frame")
+          "core.key_frac", "out_err", "top1_agree", "flow.add_ops_per_frame",
+          "peak_rss_mb", "cnn.conv_ms")
 
 
 def git_commit():

@@ -39,12 +39,8 @@ ConvLayer::macs(const Shape &in) const
 void
 ConvLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
-    // Without a caller workspace the pack buffer is local: still
-    // correct, just not allocation-free.
-    Tensor local_col;
-    Tensor &col = ctx.scratch != nullptr ? *ctx.scratch : local_col;
     conv_im2col_gemm(in, {in_c_, out_c_, kernel_, stride_, pad_},
-                     weights_.data(), biases_.data(), *ctx.out, col,
+                     weights_.data(), biases_.data(), *ctx.out,
                      ctx.fuse_relu, ctx.conv_variant);
 }
 

@@ -9,10 +9,6 @@ namespace eva2 {
 
 namespace {
 
-/** Arena slot of the im2col buffer. Activations ping-pong through
- * slots 0 and 1; one workspace serves every conv in the plan. */
-constexpr i64 kColSlot = 2;
-
 /**
  * Compile layers [begin, end) of `net` for inputs of `in_shape`: the
  * step sequence both plans execute. Every conv runs the im2col GEMM on
@@ -37,8 +33,6 @@ compile_steps(const Network &net, i64 begin, i64 end, Shape in_shape,
         step.out_shape = layer.out_shape(s);
         if (layer.kind() == LayerKind::kConv) {
             const WindowGeometry g = layer.geometry();
-            step.col_rows = s.c * g.kernel * g.kernel;
-            step.col_cols = step.out_shape.h * step.out_shape.w;
             step.conv_variant = exact_gemm_variant();
             if (i + 1 < end &&
                 net.layer(i + 1).kind() == LayerKind::kRelu) {
@@ -68,11 +62,10 @@ compile_steps(const Network &net, i64 begin, i64 end, Shape in_shape,
 
 /** The ForwardCtx one compiled step runs its layer under. */
 ForwardCtx
-step_ctx(const CompiledStep &step, Tensor *out, Tensor *scratch)
+step_ctx(const CompiledStep &step, Tensor *out)
 {
     ForwardCtx ctx;
     ctx.out = out;
-    ctx.scratch = scratch;
     ctx.conv_variant = step.conv_variant;
     ctx.simd_fc = step.simd_fc;
     ctx.fuse_relu = step.fuse_relu;
@@ -119,14 +112,7 @@ ExecutionPlan::run(const Tensor &in, ScratchArena &arena) const
         const CompiledStep &step = steps_[k];
         Tensor &out = arena.slot(static_cast<i64>(k & 1) ^ flip,
                                  step.out_shape);
-        // Shaped exactly as the packer reshapes it, so the kernel's
-        // own reshape_to is a no-op.
-        Tensor *col = step.col_rows > 0
-                          ? &arena.slot(kColSlot,
-                                        Shape{1, step.col_rows,
-                                              im2col_ld(step.col_cols)})
-                          : nullptr;
-        step.layer->forward_into(*cur, step_ctx(step, &out, col));
+        step.layer->forward_into(*cur, step_ctx(step, &out));
         cur = &out;
     }
     return *cur;
@@ -213,13 +199,12 @@ BatchedExecutionPlan::run(const Tensor *const *inputs, i64 n,
             const ConvGeometry g{conv->in_channels(),
                                  conv->out_channels(), conv->kernel(),
                                  conv->stride(), conv->pad()};
-            Tensor &col = arena.slot(
-                col_slot(),
-                Shape{1, step.col_rows, im2col_ld(n * step.col_cols)});
             Tensor &gemm_out = arena.slot(
-                gemm_slot(), Shape{1, g.out_c, n * step.col_cols});
+                gemm_slot(),
+                Shape{1, g.out_c,
+                      n * step.out_shape.h * step.out_shape.w});
             conv_im2col_gemm_batched(cur, n, g, conv->weights().data(),
-                                     conv->biases().data(), louts, col,
+                                     conv->biases().data(), louts,
                                      gemm_out, step.fuse_relu,
                                      step.conv_variant);
         } else if (kind == LayerKind::kFc) {
@@ -228,7 +213,7 @@ BatchedExecutionPlan::run(const Tensor *const *inputs, i64 n,
         } else {
             for (i64 i = 0; i < n; ++i) {
                 step.layer->forward_into(
-                    *cur[i], step_ctx(step, louts[i], nullptr));
+                    *cur[i], step_ctx(step, louts[i]));
             }
         }
         for (i64 i = 0; i < n; ++i) {

@@ -76,7 +76,7 @@ struct PlanStepInfo
 /**
  * One compiled step, as both plans store it. Step k of a plan writes
  * ping-pong side k % 2. A conv step also folds a directly following
- * ReLU (fuse_relu) and records its im2col dimensions.
+ * ReLU (fuse_relu).
  */
 struct CompiledStep
 {
@@ -93,9 +93,6 @@ struct CompiledStep
     /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
     bool simd_fc = false;
     bool fuse_relu = false;
-    /** im2col rows (taps) and per-sample columns; 0 unless conv. */
-    i64 col_rows = 0;
-    i64 col_cols = 0;
 };
 
 /**
@@ -185,10 +182,10 @@ class ExecutionPlan
  *  - FC layers become matrix-matrix products: each weight row is
  *    streamed from memory once per *batch* instead of once per
  *    sample (FcLayer::forward_batched);
- *  - conv layers pack all samples' output pixels into one im2col
- *    matrix, so GEMM tiles that a single small late-suffix plane
- *    would leave mostly empty are filled, and the per-tile weight
- *    stream is amortized across the batch
+ *  - conv layers number all samples' output pixels as columns of one
+ *    im2col matrix, so GEMM strips that a single small late-suffix
+ *    plane would leave mostly empty are filled, and the per-tile
+ *    weight stream is amortized across the batch
  *    (conv_im2col_gemm_batched);
  *  - pointwise layers run per sample through the same forward_into
  *    bodies the unbatched plan uses.
@@ -200,8 +197,9 @@ class ExecutionPlan
  * execution-shape knob.
  *
  * Memory: lane activations ping-pong through 2*max_batch arena
- * slots, plus one shared im2col slot and one shared GEMM output
- * slot; after warm-up a run performs zero heap allocations. Like
+ * slots, plus one shared GEMM output slot (conv strips pack their
+ * im2col panels in thread-local buffers); after warm-up a run
+ * performs zero heap allocations. Like
  * ExecutionPlan, a compiled batched plan is immutable and may be
  * shared by any number of threads, each running against its own
  * arena.
@@ -237,7 +235,7 @@ class BatchedExecutionPlan
      * inputs[i] may be lane i's *own* previous output (chaining two
      * batched runs through one arena shifts that lane's ping-pong
      * parity). Inputs must not alias a *different* lane's slots or
-     * the shared im2col/GEMM slots; callers that permute lane order
+     * the shared GEMM slot; callers that permute lane order
      * between chained runs copy instead.
      *
      * Zero steady-state allocations once the arena has grown to this
@@ -263,8 +261,7 @@ class BatchedExecutionPlan
         return lane * 2 + parity;
     }
 
-    i64 col_slot() const { return max_batch_ * 2; }
-    i64 gemm_slot() const { return max_batch_ * 2 + 1; }
+    i64 gemm_slot() const { return max_batch_ * 2; }
 
     const Network *net_;
     i64 begin_;

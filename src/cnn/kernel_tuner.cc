@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "util/math_util.h"
 #include "util/rng.h"
 
 namespace eva2 {
@@ -139,13 +140,22 @@ tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
     if (!simd_supported()) {
         return GemmVariant::kScalar;
     }
-    const i64 taps = im2col_rows(g);
-    const i64 n = out_h * out_w;
+    // A synthetic input of the layer's real geometry: the smallest
+    // input that yields the out_h x out_w output plane.
+    const auto in_extent = [&g](i64 out) {
+        return std::max<i64>(1, (out - 1) * g.stride + g.kernel -
+                                    2 * g.pad);
+    };
+    Tensor in(g.in_c, in_extent(out_h), in_extent(out_w));
+    const Shape os{g.out_c,
+                   conv_out_size(in.height(), g.kernel, g.stride, g.pad),
+                   conv_out_size(in.width(), g.kernel, g.stride, g.pad)};
+    const i64 n = os.h * os.w;
     // Cap the tuning workload's columns so one contest costs a few
     // megaflops per candidate regardless of layer size; the register
     // tiles' relative ranking is column-count-invariant past a few
-    // tiles.
-    const i64 flops_per_col = std::max<i64>(g.out_c * taps, 1);
+    // strips.
+    const i64 flops_per_col = std::max<i64>(g.out_c * im2col_rows(g), 1);
     const i64 n_cap = std::max<i64>(64, 4000000 / flops_per_col);
     const i64 n_tune = std::min(n, n_cap);
 
@@ -159,16 +169,15 @@ tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
         ",fuse=" + std::to_string(fuse_relu ? 1 : 0);
 
     std::vector<float> weights(
-        static_cast<size_t>(g.out_c * taps));
+        static_cast<size_t>(g.out_c * im2col_rows(g)));
     std::vector<float> biases(static_cast<size_t>(g.out_c));
-    // Same row stride as the plan's packed matrix, so the contest
-    // sees the layer's cache behaviour.
-    const i64 ld = im2col_ld(n_tune);
-    std::vector<float> col(static_cast<size_t>(taps * ld));
-    std::vector<float> out(static_cast<size_t>(g.out_c * n_tune));
+    std::vector<float> out(static_cast<size_t>(g.out_c * n));
     fill_uniform(weights, 17);
     fill_uniform(biases, 19);
-    fill_uniform(col, 23);
+    Rng rng(23);
+    for (i64 i = 0; i < in.size(); ++i) {
+        in[i] = rng.uniform_f(-1.0f, 1.0f);
+    }
 
     // The bit-exact SIMD tile is the reference candidate: it is what
     // an untuned plan runs, so an fma tile only wins by beating it.
@@ -180,12 +189,22 @@ tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
         TuneCandidate cand;
         cand.name = gemm_variant_name(v);
         cand.id = static_cast<i64>(v);
-        cand.run = [&weights, &biases, &col, &out, g, taps, ld, n_tune,
+        // What the plan runs: pack plus tile, strip by strip at the
+        // variant's own width, over the middle n_tune columns (strip
+        // aligned, so the plan's strip boundaries are reproduced).
+        cand.run = [&weights, &biases, &in, &out, g, os, n, n_tune,
                     fuse_relu, v]() {
-            gemm_strip_simd(v, weights.data(), biases.data(),
-                            col.data(), ld, g.out_c, taps, n_tune, 0,
-                            n_tune, out.data(), fuse_relu);
-            consume(out[0]);
+            const Tensor *ins[] = {&in};
+            const i64 width = conv_strip_width(v);
+            const i64 begin = (n - n_tune) / 2 / width * width;
+            const i64 end = std::min(n, begin + n_tune);
+            for (i64 j0 = begin; j0 < end; j0 += width) {
+                conv_gemm_strip(ins, g, os, weights.data(),
+                                biases.data(), n, j0,
+                                std::min(width, end - j0), out.data(),
+                                fuse_relu, v);
+            }
+            consume(out[static_cast<size_t>(begin)]);
         };
         candidates.push_back(std::move(cand));
     }

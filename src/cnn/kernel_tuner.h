@@ -93,9 +93,10 @@ class KernelTuner
 /**
  * Tuned GEMM variant for one conv layer shape: kScalar when SIMD is
  * unsupported, otherwise the contest winner among the bit-exact kExact
- * tile and every fma register-tile variant, benchmarked on a
- * synthetic im2col matrix of the layer's real geometry (columns
- * capped so one contest costs well under a frame).
+ * tile and every fma register-tile variant, each timed on what the
+ * plan runs — panel packing plus its tile, strip by strip at its own
+ * strip width — over a synthetic input of the layer's real geometry
+ * (columns capped so one contest costs well under a frame).
  */
 GemmVariant tune_conv_gemm(const ConvGeometry &g, i64 out_h, i64 out_w,
                            bool fuse_relu, i64 budget_us);

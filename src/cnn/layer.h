@@ -63,24 +63,17 @@ struct WindowGeometry
 constexpr i64 kMaxSuffixBatch = 64;
 
 /**
- * Execution context of Layer::forward_into. The destination (and any
- * kernel workspace) is owned by the caller — in planned execution, by
- * a per-worker ScratchArena — so the layer writes in place instead of
- * returning a fresh tensor. A default-constructed context (plus `out`)
- * selects the reference kernels: the scalar GEMM conv tile, no fused
- * ReLU, the scalar FC chain.
+ * Execution context of Layer::forward_into. The destination is owned
+ * by the caller — in planned execution, a per-worker ScratchArena
+ * slot — so the layer writes in place instead of returning a fresh
+ * tensor. A default-constructed context (plus `out`) selects the
+ * reference kernels: the scalar GEMM conv tile, no fused ReLU, the
+ * scalar FC chain.
  */
 struct ForwardCtx
 {
     /** Destination, already shaped to out_shape(in.shape()). */
     Tensor *out = nullptr;
-    /**
-     * Kernel workspace (the im2col packing buffer), reshaped by the
-     * kernel as needed. May be null: kernels that need a workspace
-     * then allocate a local one, trading the zero-allocation
-     * guarantee for convenience.
-     */
-    Tensor *scratch = nullptr;
     /**
      * Fold the following ReLU into this layer (plans set this when
      * they elide the ReLU step): the kernel writes max(acc, 0).

@@ -96,7 +96,9 @@ namespace {
 
 /**
  * One full register tile of the GEMM: MR weight rows by NV vectors
- * of output pixels, all accumulators live in registers. Loads each
+ * of output pixels, all accumulators live in registers. `panel` is
+ * the tile's first packed column (tap rows `ld` apart) and `out` its
+ * first output column (output rows `n` apart). Loads each
  * packed-column vector once per k and reuses it across the MR rows —
  * the arithmetic-intensity win the scalar blocked kernel (one row at
  * a time) cannot have. Per output element the accumulation is
@@ -109,8 +111,8 @@ namespace {
 template <int MR, int NV, bool Fused>
 void
 gemm_register_tile(const float *weights, const float *biases,
-                   const float *col, i64 ld, i64 m0, i64 taps, i64 n,
-                   i64 j0, float *out, bool fuse_relu)
+                   const float *panel, i64 ld, i64 m0, i64 taps,
+                   float *out, i64 n, bool fuse_relu)
 {
     constexpr i64 L = VecF::kLanes;
     VecF acc[MR][NV];
@@ -121,7 +123,7 @@ gemm_register_tile(const float *weights, const float *biases,
         }
     }
     for (i64 k = 0; k < taps; ++k) {
-        const float *brow = col + k * ld + j0;
+        const float *brow = panel + k * ld;
         VecF bv[NV];
         for (int v = 0; v < NV; ++v) {
             bv[v] = VecF::load(brow + v * L);
@@ -140,7 +142,7 @@ gemm_register_tile(const float *weights, const float *biases,
     }
     const VecF zero = VecF::zero();
     for (int r = 0; r < MR; ++r) {
-        float *c = out + (m0 + r) * n + j0;
+        float *c = out + (m0 + r) * n;
         for (int v = 0; v < NV; ++v) {
             const VecF res =
                 fuse_relu ? max(acc[r][v], zero) : acc[r][v];
@@ -150,21 +152,22 @@ gemm_register_tile(const float *weights, const float *biases,
 }
 
 /**
- * Tail columns of a strip (fewer than one vector): scalar, ascending
- * k, explicit mul+add — the scalar reference sequence, so the tail is
- * bit-exact for every variant.
+ * Tail columns of a strip (fewer than one vector), addressed like
+ * gemm_register_tile: scalar, ascending k, explicit mul+add — the
+ * scalar reference sequence, so the tail is bit-exact for every
+ * variant.
  */
 void
 gemm_scalar_tail(const float *weights, const float *biases,
-                 const float *col, i64 ld, i64 out_c, i64 taps, i64 n,
-                 i64 j0, i64 jn, float *out, bool fuse_relu)
+                 const float *panel, i64 ld, i64 out_c, i64 taps,
+                 i64 jn, float *out, i64 n, bool fuse_relu)
 {
     for (i64 m = 0; m < out_c; ++m) {
         const float *w = weights + m * taps;
-        for (i64 j = j0; j < j0 + jn; ++j) {
+        for (i64 j = 0; j < jn; ++j) {
             float acc = biases[m];
             for (i64 k = 0; k < taps; ++k) {
-                acc += w[k] * col[k * ld + j];
+                acc += w[k] * panel[k * ld + j];
             }
             out[m * n + j] =
                 fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
@@ -198,37 +201,39 @@ variant_geom(GemmVariant v)
 template <int MR, int NV, bool Fused>
 void
 gemm_strip_impl(const float *weights, const float *biases,
-                const float *col, i64 ld, i64 out_c, i64 taps, i64 n,
+                const float *panel, i64 ld, i64 out_c, i64 taps, i64 n,
                 i64 j0, i64 jn, float *out, bool fuse_relu)
 {
     constexpr i64 L = VecF::kLanes;
     constexpr i64 kFull = NV * L;
-    const i64 j_end = j0 + jn;
-    i64 j = j0;
-    for (; j + kFull <= j_end; j += kFull) {
+    // Panel column j is output column j0 + j.
+    float *strip_out = out + j0;
+    i64 j = 0;
+    for (; j + kFull <= jn; j += kFull) {
         i64 m0 = 0;
         for (; m0 + MR <= out_c; m0 += MR) {
-            gemm_register_tile<MR, NV, Fused>(weights, biases, col, ld,
-                                              m0, taps, n, j, out,
+            gemm_register_tile<MR, NV, Fused>(weights, biases, panel + j,
+                                              ld, m0, taps,
+                                              strip_out + j, n,
                                               fuse_relu);
         }
         for (; m0 < out_c; ++m0) {
-            gemm_register_tile<1, NV, Fused>(weights, biases, col, ld,
-                                             m0, taps, n, j, out,
-                                             fuse_relu);
+            gemm_register_tile<1, NV, Fused>(weights, biases, panel + j,
+                                             ld, m0, taps, strip_out + j,
+                                             n, fuse_relu);
         }
     }
     // Single-vector columns past the last full tile.
-    for (; j + L <= j_end; j += L) {
+    for (; j + L <= jn; j += L) {
         for (i64 m0 = 0; m0 < out_c; ++m0) {
-            gemm_register_tile<1, 1, Fused>(weights, biases, col, ld,
-                                            m0, taps, n, j, out,
-                                            fuse_relu);
+            gemm_register_tile<1, 1, Fused>(weights, biases, panel + j,
+                                            ld, m0, taps, strip_out + j,
+                                            n, fuse_relu);
         }
     }
-    if (j < j_end) {
-        gemm_scalar_tail(weights, biases, col, ld, out_c, taps, n, j,
-                         j_end - j, out, fuse_relu);
+    if (j < jn) {
+        gemm_scalar_tail(weights, biases, panel + j, ld, out_c, taps,
+                         jn - j, strip_out + j, n, fuse_relu);
     }
 }
 
@@ -236,33 +241,33 @@ gemm_strip_impl(const float *weights, const float *biases,
 
 void
 gemm_strip_simd(GemmVariant variant, const float *weights,
-                const float *biases, const float *col, i64 ld,
+                const float *biases, const float *panel, i64 ld,
                 i64 out_c, i64 taps, i64 n, i64 j0, i64 jn, float *out,
                 bool fuse_relu)
 {
     switch (variant) {
       case GemmVariant::kExact:
-        gemm_strip_impl<4, 2, false>(weights, biases, col, ld, out_c,
+        gemm_strip_impl<4, 2, false>(weights, biases, panel, ld, out_c,
                                      taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr1xNv4:
-        gemm_strip_impl<1, 4, true>(weights, biases, col, ld, out_c,
+        gemm_strip_impl<1, 4, true>(weights, biases, panel, ld, out_c,
                                     taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr2xNv2:
-        gemm_strip_impl<2, 2, true>(weights, biases, col, ld, out_c,
+        gemm_strip_impl<2, 2, true>(weights, biases, panel, ld, out_c,
                                     taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr2xNv4:
-        gemm_strip_impl<2, 4, true>(weights, biases, col, ld, out_c,
+        gemm_strip_impl<2, 4, true>(weights, biases, panel, ld, out_c,
                                     taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr4xNv2:
-        gemm_strip_impl<4, 2, true>(weights, biases, col, ld, out_c,
+        gemm_strip_impl<4, 2, true>(weights, biases, panel, ld, out_c,
                                     taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kMr4xNv3:
-        gemm_strip_impl<4, 3, true>(weights, biases, col, ld, out_c,
+        gemm_strip_impl<4, 3, true>(weights, biases, panel, ld, out_c,
                                     taps, n, j0, jn, out, fuse_relu);
         return;
       case GemmVariant::kScalar: break;

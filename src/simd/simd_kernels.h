@@ -89,22 +89,24 @@ const char *simd_isa_name();
 i64 simd_lanes();
 
 /**
- * SIMD blocked GEMM over a packed im2col matrix: out[m][j] =
- * bias[m] + sum_k w[m][k] * col[k][j] for j in [j0, j0+jn), all m in
- * [0, out_c). Row k of `col` starts at col + k*ld (ld >= n, see
- * im2col_ld in cnn/conv_kernels.h); row m of `out` at out + m*n.
+ * SIMD blocked GEMM over one packed column strip: out[m][j0+j] =
+ * bias[m] + sum_k w[m][k] * panel[k][j] for j in [0, jn), all m in
+ * [0, out_c). Row k of the strip's panel starts at panel + k*ld
+ * (ld >= jn; see im2col_pack_strip in cnn/conv_kernels.h); row m of
+ * `out` at out + m*n, so output column j0 + j takes panel column j.
  * Accumulation per output element is ascending-k from the bias, with
  * mul+add for kExact (bit-exact) and fused multiply-adds for the
  * other variants; columns beyond the last full vector run through a
  * scalar mul+add tail. Requires simd_supported().
  */
 void gemm_strip_simd(GemmVariant variant, const float *weights,
-                     const float *biases, const float *col, i64 ld,
+                     const float *biases, const float *panel, i64 ld,
                      i64 out_c, i64 taps, i64 n, i64 j0, i64 jn,
                      float *out, bool fuse_relu);
 
 /** Column-strip width gemm_strip_simd wants for a variant, in
- * pixels; parallel_for splits the GEMM over strips of this width. */
+ * pixels: the conv engine packs and multiplies one panel of this
+ * many columns per parallel_for index. */
 i64 gemm_strip_width(GemmVariant variant);
 
 /**

@@ -4,11 +4,10 @@
  *
  * A ScratchArena owns a small set of slot tensors that compiled
  * ExecutionPlans cycle activations through (ping-pong between two
- * activation slots, plus a packing-buffer slot for the im2col conv
- * kernel). Slots grow to the largest shape ever requested and are
- * then reshaped allocation-free (`Tensor::reshape_to`), so a plan
- * executing frame after frame performs zero steady-state heap
- * allocations.
+ * activation slots; batched plans add a GEMM output slot). Slots
+ * grow to the largest shape ever requested and are then reshaped
+ * allocation-free (`Tensor::reshape_to`), so a plan executing frame
+ * after frame performs zero steady-state heap allocations.
  *
  * Ownership model: one arena per worker thread. Arenas are not
  * synchronized — a pipeline runs on exactly one thread at a time, and

@@ -2,7 +2,7 @@
  * @file
  * Tests for the planned execution engine: ExecutionPlan compilation,
  * scratch-arena reuse, and the im2col/blocked-GEMM conv kernel (its
- * packer and the packed matrix's padded leading dimension included).
+ * per-strip panel packer included).
  *
  * The central property is *bit-exactness*: the planned paths (the
  * default GEMM tile, fused with ReLU, batched or not, through the
@@ -14,6 +14,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "api/engine.h"
@@ -26,6 +27,7 @@
 #include "cnn/pool_layer.h"
 #include "core/amc_pipeline.h"
 #include "runtime/stream_executor.h"
+#include "runtime/thread_pool.h"
 #include "simd/simd_kernels.h"
 #include "util/rng.h"
 #include "video/scenarios.h"
@@ -53,6 +55,15 @@ random_tensor(Shape shape, u64 seed)
     }
     return t;
 }
+
+/** Restores the global pool's default size when a test ends. */
+struct PoolSizeGuard
+{
+    ~PoolSizeGuard()
+    {
+        ThreadPool::set_global_size(ThreadPool::default_num_threads());
+    }
+};
 
 /** A one-conv network with random weights at the given geometry. */
 Network
@@ -193,7 +204,7 @@ TEST(ExecutionPlan, DescribeReportsKernelSelectionAndFusion)
 }
 
 // --------------------------------------------------------------------
-// im2col packing and the padded leading dimension
+// Strip panels: the packer every GEMM variant runs
 
 /**
  * The per-element definition of im2col: tap (ic, ky, kx) of output
@@ -226,80 +237,183 @@ im2col_oracle(const Tensor &in, const ConvGeometry &g, const Shape &os)
     return col;
 }
 
-TEST(Im2colPack, FastAndGeneralPathsMatchPerElementPacking)
+/** Every variant this machine can run: the scalar oracle, plus the
+ * bit-exact and fma SIMD tiles when SIMD is supported. */
+std::vector<GemmVariant>
+runnable_variants()
 {
-    // Stride 1 takes the contiguous-span fast path, stride 2 the
-    // per-element loop; both must equal the definition bit for bit,
-    // including inputs narrower than the kernel (every row is mostly
-    // padding) and signed zeros (a copy must not canonicalize -0.0).
-    const Shape inputs[] = {{2, 7, 9}, {1, 2, 3}, {3, 4, 1}, {1, 5, 5}};
+    std::vector<GemmVariant> vs = {GemmVariant::kScalar};
+    if (simd_supported()) {
+        vs.push_back(GemmVariant::kExact);
+        vs.insert(vs.end(), simd_gemm_variants().begin(),
+                  simd_gemm_variants().end());
+    }
+    return vs;
+}
+
+/** Input extent whose conv output is `out` wide (at least 1). */
+i64
+input_extent(i64 out, i64 kernel, i64 stride, i64 pad)
+{
+    return std::max<i64>(1, (out - 1) * stride + kernel - 2 * pad);
+}
+
+/** The strip-panel sweep: geometry and output widths. */
+const i64 kPackKernels[] = {1, 3, 5, 11};
+const i64 kPackStrides[] = {1, 2, 4};
+const i64 kPackPads[] = {0, 1, 2};
+const i64 kPackWidths[] = {5, 8, 33, 128};
+
+TEST(Im2colPackStrip, EveryStripMatchesPerElementPacking)
+{
+    // Every strip (j0, jn) at every variant's strip width, for one
+    // sample and for three samples numbered side by side. Output
+    // widths 5, 8 and 33 make strips start mid-row and cross several
+    // rows (and, batched, sample boundaries); 128 is the cams
+    // workloads' plane. Packed bits must equal the definition,
+    // signed zeros included (a copy must not canonicalize -0.0).
+    std::vector<i64> widths;
+    for (const GemmVariant v : runnable_variants()) {
+        widths.push_back(conv_strip_width(v));
+    }
+    std::sort(widths.begin(), widths.end());
+    widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
+    std::vector<float> panel;
     i64 checked = 0;
-    for (const Shape &is : inputs) {
-        Tensor in = random_tensor(is, 31);
-        in[0] = -0.0f;
-        for (const i64 stride : {1, 2}) {
-            for (const i64 pad : {0, 1, 2}) {
-                for (const i64 kernel : {1, 3, 5}) {
-                    const ConvGeometry g{is.c, 4, kernel, stride, pad};
-                    const Shape os{4,
-                                   conv_out_size(is.h, kernel, stride,
-                                                 pad),
-                                   conv_out_size(is.w, kernel, stride,
-                                                 pad)};
-                    if (os.h < 1 || os.w < 1) {
-                        continue;
+    for (const i64 kernel : kPackKernels) {
+        for (const i64 stride : kPackStrides) {
+            for (const i64 pad : kPackPads) {
+                for (const i64 ow : kPackWidths) {
+                    const ConvGeometry g{2, 3, kernel, stride, pad};
+                    const Shape is{2, input_extent(3, kernel, stride, pad),
+                                   input_extent(ow, kernel, stride, pad)};
+                    const Shape os{3,
+                                   conv_out_size(is.h, kernel, stride, pad),
+                                   conv_out_size(is.w, kernel, stride, pad)};
+                    const i64 pix = os.h * os.w;
+                    const i64 taps = im2col_rows(g);
+                    std::vector<Tensor> samples;
+                    for (u64 i = 0; i < 3; ++i) {
+                        samples.push_back(random_tensor(is, 31 + i));
+                        samples.back()[0] = -0.0f;
                     }
-                    const i64 n = os.h * os.w;
-                    Tensor col;
-                    im2col_pack(in, g, os, col);
-                    ASSERT_EQ(col.width(), im2col_ld(n));
-                    const std::vector<float> want =
-                        im2col_oracle(in, g, os);
-                    for (i64 k = 0; k < im2col_rows(g); ++k) {
-                        EXPECT_EQ(std::memcmp(
-                                      col.data().data() + k * col.width(),
-                                      want.data() + k * n,
-                                      static_cast<size_t>(n) *
-                                          sizeof(float)),
-                                  0)
-                            << "in " << is.str() << " k=" << kernel
-                            << " s=" << stride << " p=" << pad
-                            << " tap " << k;
+                    for (const i64 nb : {1, 3}) {
+                        std::vector<const Tensor *> ins;
+                        std::vector<std::vector<float>> want;
+                        for (i64 i = 0; i < nb; ++i) {
+                            ins.push_back(&samples[static_cast<size_t>(i)]);
+                            want.push_back(
+                                im2col_oracle(*ins.back(), g, os));
+                        }
+                        const i64 ncols = nb * pix;
+                        for (const i64 width : widths) {
+                            for (i64 j0 = 0; j0 < ncols; j0 += width) {
+                                const i64 jn = std::min(width, ncols - j0);
+                                panel.assign(
+                                    static_cast<size_t>(taps * jn), 7.0f);
+                                im2col_pack_strip(ins.data(), g, os, j0,
+                                                  jn, panel.data());
+                                for (i64 k = 0; k < taps; ++k) {
+                                    for (i64 j = 0; j < jn; ++j) {
+                                        const i64 col = j0 + j;
+                                        const float expect =
+                                            want[static_cast<size_t>(
+                                                col / pix)]
+                                                [static_cast<size_t>(
+                                                    k * pix + col % pix)];
+                                        const float got =
+                                            panel[static_cast<size_t>(
+                                                k * jn + j)];
+                                        ASSERT_EQ(std::memcmp(&expect, &got,
+                                                              sizeof(float)),
+                                                  0)
+                                            << "k=" << kernel
+                                            << " s=" << stride
+                                            << " p=" << pad << " ow=" << ow
+                                            << " nb=" << nb
+                                            << " W=" << width
+                                            << " j0=" << j0 << " tap " << k
+                                            << " col " << col;
+                                    }
+                                }
+                                ++checked;
+                            }
+                        }
                     }
-                    ++checked;
                 }
             }
         }
     }
-    EXPECT_GT(checked, 40);
+    EXPECT_GT(checked, 1000);
 }
 
-TEST(Im2colPack, LeadingDimensionPadsOnlyFourKibStrides)
+TEST(Im2colPackStrip, VariantsAndPoolSizesMatchSeedBitExactly)
 {
-    EXPECT_EQ(im2col_ld(1), 1);
-    EXPECT_EQ(im2col_ld(1000), 1000);
-    EXPECT_EQ(im2col_ld(1024), 1040);
-    EXPECT_EQ(im2col_ld(16384), 16400);
-}
-
-TEST(ExecutionPlan, PaddedLeadingDimensionMatchesSeedBitExactly)
-{
-    // A 32x32 output plane packs 1024 columns, so its im2col rows get
-    // the padded leading dimension; the planned GEMM (default
-    // variant) must still equal the reference Network::forward.
-    const Network net = conv_net({3, 32, 32}, 10, 3, 1, 1, 41,
+    // The strip sweep's geometries end to end: the scalar oracle, the
+    // bit-exact SIMD tile and the plan (batched or not) must equal
+    // Network::forward bit for bit at pool sizes 1, 2 and 4.
+    PoolSizeGuard guard;
+    i64 checked = 0;
+    for (const i64 kernel : kPackKernels) {
+        for (const i64 stride : kPackStrides) {
+            for (const i64 pad : kPackPads) {
+                for (const i64 ow : kPackWidths) {
+                    const Shape is{3, input_extent(4, kernel, stride, pad),
+                                   input_extent(ow, kernel, stride, pad)};
+                    const Network net =
+                        conv_net(is, 5, kernel, stride, pad, 61,
                                  /*with_relu=*/true);
-    const Tensor in = random_tensor(net.input_shape(), 43);
-    const Tensor seed_out = net.forward(in);
-    EXPECT_TRUE(seed_out == ExecutionPlan(net).forward(in));
+                    const auto &conv =
+                        static_cast<const ConvLayer &>(net.layer(0));
+                    const ConvGeometry g{is.c, 5, kernel, stride, pad};
+                    const Tensor a = random_tensor(is, 63);
+                    const Tensor b = random_tensor(is, 64);
+                    const Tensor want_a = net.forward(a);
+                    const Tensor want_b = net.forward(b);
+                    const ExecutionPlan plan(net);
+                    const BatchedExecutionPlan batched(plan, 2);
+                    std::vector<GemmVariant> exact = {GemmVariant::kScalar};
+                    if (simd_supported()) {
+                        exact.push_back(GemmVariant::kExact);
+                    }
+                    for (const i64 threads : {1, 2, 4}) {
+                        ThreadPool::set_global_size(threads);
+                        const std::string what =
+                            "k=" + std::to_string(kernel) +
+                            " s=" + std::to_string(stride) +
+                            " p=" + std::to_string(pad) +
+                            " ow=" + std::to_string(ow) + " x" +
+                            std::to_string(threads);
+                        for (const GemmVariant v : exact) {
+                            Tensor out(want_a.shape());
+                            conv_im2col_gemm(a, g, conv.weights().data(),
+                                             conv.biases().data(), out,
+                                             /*fuse_relu=*/true, v);
+                            EXPECT_TRUE(out == want_a)
+                                << what << " " << gemm_variant_name(v);
+                        }
+                        ScratchArena arena;
+                        EXPECT_TRUE(plan.run(a, arena) == want_a) << what;
+                        const Tensor *ins[] = {&a, &b};
+                        const Tensor *outs[2] = {nullptr, nullptr};
+                        batched.run(ins, 2, outs, arena);
+                        EXPECT_TRUE(*outs[0] == want_a) << what;
+                        EXPECT_TRUE(*outs[1] == want_b) << what;
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 4 * 3 * 3 * 4 * 3);
 }
 
 TEST(BatchedExecutionPlan, DefaultVariantMatchesSeedBitExactly)
 {
-    // Four 16x16 samples pack 4 * 256 = 1024 columns side by side:
-    // the batched GEMM runs on the padded leading dimension with the
-    // plan's default variant, and every sample must equal the seed's
-    // Network::forward bit for bit.
+    // Four 16x16 samples number 4 * 256 = 1024 columns side by side:
+    // the batched GEMM runs the plan's default variant over strips
+    // that cross sample boundaries, and every sample must equal the
+    // seed's Network::forward bit for bit.
     const Network net = conv_net({5, 16, 16}, 7, 3, 1, 1, 47,
                                  /*with_relu=*/true);
     const ExecutionPlan single(net);
@@ -344,6 +458,45 @@ TEST(ExecutionPlan, RunIsAllocationFreeAfterWarmup)
     }
     EXPECT_EQ(Tensor::buffer_allocations() - before, 0u)
         << "plan.run allocated in steady state";
+}
+
+TEST(ExecutionPlan, Faster16ArenaHoldsOnlyPingPongSlots)
+{
+    // The cams workloads' network. Conv strips pack into thread-local
+    // panels, so the arena holds the two activation ping-pong slots
+    // and nothing else (no K x N im2col matrix: conv1_2 alone would
+    // be 144 x 16384 floats), and a second run allocates nothing.
+    const Network net =
+        build_scaled(faster16_spec(), ScaledBuildOptions{});
+    const ExecutionPlan plan(net);
+    const Tensor in = random_tensor(net.input_shape(), 12);
+    u64 largest = 0;
+    for (const PlanStepInfo &step : plan.describe()) {
+        largest = std::max<u64>(
+            largest, static_cast<u64>(step.out.size()) * sizeof(float));
+    }
+    ScratchArena arena;
+    const Tensor first = plan.run(in, arena);
+    const u64 before = Tensor::buffer_allocations();
+    const Tensor &second = plan.run(in, arena);
+    EXPECT_EQ(Tensor::buffer_allocations() - before, 0u)
+        << "second run allocated";
+    EXPECT_TRUE(second == first);
+    EXPECT_EQ(arena.num_slots(), 2);
+    EXPECT_LE(arena.bytes_reserved(), 2 * largest);
+}
+
+TEST(Network, ReferenceForwardAllocatesOnlyActivations)
+{
+    // Network::forward allocates the input copy and one output per
+    // layer; its conv layers need no packing workspace.
+    const Network net =
+        build_scaled(faster16_spec(), ScaledBuildOptions{});
+    const Tensor in = random_tensor(net.input_shape(), 13);
+    const u64 before = Tensor::buffer_allocations();
+    const Tensor out = net.forward(in);
+    EXPECT_EQ(Tensor::buffer_allocations() - before,
+              static_cast<u64>(net.num_layers()) + 1);
 }
 
 TEST(AmcPipeline, PredictedFramesReachAllocationSteadyState)

@@ -231,7 +231,10 @@ TEST(SimdKernels, WarpGathersMatchScalarSelectsBitForBit)
     }
 }
 
-/** One awkward GEMM strip shape for the bit-exact tile race. */
+/**
+ * One awkward GEMM strip shape for the bit-exact tile race: `n`
+ * output columns per row, panel rows `ld` floats apart.
+ */
 struct StripCase
 {
     i64 out_c, taps, n, ld;
@@ -247,14 +250,14 @@ TEST(SimdKernels, ExactGemmStripMatchesScalarBitForBit)
         {4, 9, 5, 5},        // n below one vector: all scalar tail.
         {5, 1, 24, 24},      // out_c not a multiple of 4; one tap.
         {7, 1, 3, 3},        // Both, and a one-tap tail.
-        {6, 18, 50, 66},     // Padded leading dimension.
-        {4, 144, 1024, im2col_ld(1024)}, // The conv-layer padding.
+        {6, 18, 50, 66},     // Panel rows wider than the strip.
+        {16, 144, 64, 64},   // conv1_2 of Faster16-128: one W=64 panel.
         {13, 40, 129, 144},  // Everything at once.
     };
     for (const StripCase &c : cases) {
         std::vector<float> w(static_cast<size_t>(c.out_c * c.taps));
         std::vector<float> b(static_cast<size_t>(c.out_c));
-        std::vector<float> col(static_cast<size_t>(c.taps * c.ld));
+        std::vector<float> panel(static_cast<size_t>(c.taps * c.ld));
         Rng rng(67);
         for (float &x : w) {
             x = rng.uniform_f(-1.0f, 1.0f);
@@ -262,28 +265,28 @@ TEST(SimdKernels, ExactGemmStripMatchesScalarBitForBit)
         for (float &x : b) {
             x = rng.uniform_f(-1.0f, 1.0f);
         }
-        for (float &x : col) {
-            x = rng.uniform_f(-1.0f, 1.0f);
-        }
-        // Padding columns hold NaN: reading one poisons an output.
-        for (i64 k = 0; k < c.taps; ++k) {
-            for (i64 j = c.n; j < c.ld; ++j) {
-                col[static_cast<size_t>(k * c.ld + j)] =
-                    std::numeric_limits<float>::quiet_NaN();
-            }
-        }
         const size_t out_size = static_cast<size_t>(c.out_c * c.n);
         for (const bool fuse : {false, true}) {
             // Whole strip, and a strip starting off a vector boundary.
             for (const i64 j0 : {i64{0}, std::min<i64>(3, c.n - 1)}) {
                 const i64 jn = c.n - j0;
+                // Panel column j feeds output column j0 + j; columns
+                // past jn hold NaN: reading one poisons an output.
+                for (i64 k = 0; k < c.taps; ++k) {
+                    for (i64 j = 0; j < c.ld; ++j) {
+                        panel[static_cast<size_t>(k * c.ld + j)] =
+                            j < jn
+                                ? rng.uniform_f(-1.0f, 1.0f)
+                                : std::numeric_limits<float>::quiet_NaN();
+                    }
+                }
                 std::vector<float> ref(out_size, -7.0f);
                 std::vector<float> out(out_size, -7.0f);
-                gemm_strip_scalar(w.data(), b.data(), col.data(), c.ld,
+                gemm_strip_scalar(w.data(), b.data(), panel.data(), c.ld,
                                   c.out_c, c.taps, c.n, j0, jn,
                                   ref.data(), fuse);
                 gemm_strip_simd(GemmVariant::kExact, w.data(), b.data(),
-                                col.data(), c.ld, c.out_c, c.taps, c.n,
+                                panel.data(), c.ld, c.out_c, c.taps, c.n,
                                 j0, jn, out.data(), fuse);
                 EXPECT_EQ(std::memcmp(ref.data(), out.data(),
                                       out_size * sizeof(float)),
@@ -333,15 +336,13 @@ TEST(SimdKernels, GemmVariantsWithinToleranceOfScalar)
             random_tensor(Shape{c.in_c, c.size, c.size}, 59);
         Tensor ref(conv.out_shape(in.shape()));
         Tensor out(conv.out_shape(in.shape()));
-        Tensor col;
         for (const bool fuse : {false, true}) {
             conv_im2col_gemm(in, g, conv.weights().data(),
-                             conv.biases().data(), ref, col, fuse,
+                             conv.biases().data(), ref, fuse,
                              GemmVariant::kScalar);
             for (const GemmVariant v : simd_gemm_variants()) {
                 conv_im2col_gemm(in, g, conv.weights().data(),
-                                 conv.biases().data(), out, col, fuse,
-                                 v);
+                                 conv.biases().data(), out, fuse, v);
                 const DivergenceReport rep = divergence(ref, out);
                 EXPECT_TRUE(
                     within_tolerance(ref, out, kMaxUlp, kMaxAbs))
