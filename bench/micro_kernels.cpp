@@ -24,8 +24,6 @@
 #include "cnn/conv_kernels.h"
 #include "cnn/conv_layer.h"
 #include "cnn/execution_plan.h"
-#include "cnn/fc_layer.h"
-#include "cnn/kernel_tuner.h"
 #include "cnn/model_zoo.h"
 #include "core/amc_pipeline.h"
 #include "core/warp.h"
@@ -210,11 +208,9 @@ BENCHMARK(BM_ConvIm2colGemm)
 // `<kernel>/<variant>/<shape>` so the CI baseline diff has stable
 // (kernel, variant, shape) identifiers: `conv_gemm/<variant>/<shape>`
 // for each GEMM micro-kernel (scalar, plus the bit-exact simd_exact
-// tile and every fma register tile when the machine supports SIMD),
-// `conv_tuned/<shape>` for the autotuned
-// end-to-end plan, and `fc/<scalar|simd>/<dims>` for the FC dot
-// kernels. Registered from main() so the SIMD rows can be gated on
-// the *runtime* cpuid check, not just the compile-time ISA.
+// tile when the machine supports SIMD). Registered from main() so the
+// SIMD rows can be gated on the *runtime* cpuid check, not just the
+// compile-time ISA.
 
 void
 conv_variant_bench(benchmark::State &state, const ConvShape &shape,
@@ -241,48 +237,6 @@ conv_variant_bench(benchmark::State &state, const ConvShape &shape,
     }
     state.SetItemsProcessed(state.iterations() *
                             conv.macs(in.shape()));
-}
-
-void
-conv_tuned_bench(benchmark::State &state, const ConvShape &shape)
-{
-    const Network net = conv_shape_net(shape);
-    const Tensor in = conv_shape_input(shape);
-    PlanOptions opts;
-    opts.tune = true;
-    const ExecutionPlan plan(net, opts);
-    ScratchArena arena;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(&plan.run(in, arena));
-    }
-    state.SetLabel(plan.describe().front().variant);
-    state.SetItemsProcessed(state.iterations() * net.layer_macs(0));
-}
-
-void
-fc_bench(benchmark::State &state, i64 in_dim, i64 out_dim, bool simd)
-{
-    FcLayer fc(in_dim, out_dim);
-    Rng rng(17);
-    for (float &w : fc.weights()) {
-        w = rng.uniform_f(-0.5f, 0.5f);
-    }
-    for (float &b : fc.biases()) {
-        b = rng.uniform_f(-0.5f, 0.5f);
-    }
-    Tensor in(in_dim, 1, 1);
-    for (i64 i = 0; i < in.size(); ++i) {
-        in[i] = rng.uniform_f(-1.0f, 1.0f);
-    }
-    Tensor out(out_dim, 1, 1);
-    ForwardCtx ctx;
-    ctx.out = &out;
-    ctx.simd_fc = simd;
-    for (auto _ : state) {
-        fc.forward_into(in, ctx);
-        benchmark::DoNotOptimize(out.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * in_dim * out_dim);
 }
 
 // --------------------------------------------------------------------
@@ -536,9 +490,6 @@ register_variant_benches()
         std::vector<GemmVariant> variants = {GemmVariant::kScalar};
         if (simd_supported()) {
             variants.push_back(GemmVariant::kExact);
-            for (const GemmVariant v : simd_gemm_variants()) {
-                variants.push_back(v);
-            }
         }
         for (const GemmVariant v : variants) {
             const std::string name = std::string("conv_gemm/") +
@@ -548,37 +499,6 @@ register_variant_benches()
                 name.c_str(),
                 [shape, v](benchmark::State &state) {
                     conv_variant_bench(state, shape, v);
-                })
-                ->Unit(benchmark::kMillisecond);
-        }
-        const std::string tuned =
-            std::string("conv_tuned/") + shape.label;
-        benchmark::RegisterBenchmark(
-            tuned.c_str(),
-            [shape](benchmark::State &state) {
-                conv_tuned_bench(state, shape);
-            })
-            ->Unit(benchmark::kMillisecond);
-    }
-    const struct
-    {
-        i64 in_dim, out_dim;
-    } fc_shapes[] = {{2048, 512}, {4096, 64}};
-    for (const auto &s : fc_shapes) {
-        for (const bool simd : {false, true}) {
-            if (simd && !simd_supported()) {
-                continue;
-            }
-            const std::string name =
-                std::string("fc/") + (simd ? "simd" : "scalar") +
-                "/in" + std::to_string(s.in_dim) + "_out" +
-                std::to_string(s.out_dim);
-            const i64 in_dim = s.in_dim;
-            const i64 out_dim = s.out_dim;
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [in_dim, out_dim, simd](benchmark::State &state) {
-                    fc_bench(state, in_dim, out_dim, simd);
                 })
                 ->Unit(benchmark::kMillisecond);
         }

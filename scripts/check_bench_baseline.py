@@ -20,8 +20,6 @@ Raw times are not comparable across machines, so every gated row is
 first normalized by its same-run scalar anchor:
 
   conv_gemm/<variant>/<shape>  ->  anchored to conv_gemm/scalar/<shape>
-  conv_tuned/<shape>           ->  anchored to conv_gemm/scalar/<shape>
-  fc/<kind>/<dims>             ->  anchored to fc/scalar/<dims>
   rfbme/<variant>/<shape>      ->  anchored to rfbme/scalar/<shape>
   sad/<kind>/<dims>            ->  anchored to sad/scalar/<dims>
 
@@ -55,7 +53,7 @@ the baseline after an intentional kernel change:
 
   for i in 1 2 3; do \
     ./build/bench_micro_kernels \
-      --benchmark_filter='BM_ConvIm2colGemm|conv_gemm|conv_tuned|fc/|warp/|rfbme/|sad/' \
+      --benchmark_filter='BM_ConvIm2colGemm|conv_gemm|warp/|rfbme/|sad/' \
       --benchmark_enable_random_interleaving=true \
       --benchmark_repetitions=9 --benchmark_min_time=0.1 \
       --json /tmp/bench-run$i.json; done && \
@@ -134,10 +132,6 @@ def anchor_name(name: str) -> str | None:
     parts = name.split("/")
     if name.startswith("conv_gemm/") and len(parts) == 3:
         return f"conv_gemm/scalar/{parts[2]}"
-    if name.startswith("conv_tuned/") and len(parts) == 2:
-        return f"conv_gemm/scalar/{parts[1]}"
-    if name.startswith("fc/") and len(parts) == 3:
-        return f"fc/scalar/{parts[2]}"
     if name.startswith("rfbme/") and len(parts) == 3:
         return f"rfbme/scalar/{parts[2]}"
     if name.startswith("sad/") and len(parts) == 3:

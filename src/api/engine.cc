@@ -20,7 +20,14 @@ resolve_amc(const EngineConfig &config, const Network &net)
     AmcOptions amc;
     amc.interp = InterpRegistry::instance().resolve(config.interp);
     CodecRegistry::instance().apply(config.codec, amc);
-    KernelRegistry::instance().apply(config.kernel, amc.plan);
+    // One execution kernel: every conv on the bit-exact GEMM tile
+    // (SIMD where supported, scalar otherwise), fused with a following
+    // ReLU, so plans are bit-identical to Network::forward.
+    if (config.kernel != "gemm") {
+        throw ConfigError("unknown execution kernel spec '" +
+                          config.kernel +
+                          "' (known: gemm, which takes no parameters)");
+    }
 
     if (config.target == "last_spatial") {
         amc.target_choice = TargetChoice::kLastSpatial;

@@ -67,11 +67,11 @@ struct EngineConfig
     /** Key-activation storage codec spec (CodecRegistry). */
     std::string codec = "rle_q88";
     /**
-     * CNN execution kernel spec (KernelRegistry): how the compiled
-     * plans run the network. `gemm` (im2col + blocked GEMM on the
-     * bit-exact SIMD tile where the CPU supports it, fused conv+ReLU)
-     * is bit-identical to the reference Network::forward; `tuned`
-     * autotunes tiles per shape (bounded divergence).
+     * CNN execution kernel spec: how the compiled plans run the
+     * network. The only kernel is `gemm` (im2col + blocked GEMM on the
+     * bit-exact SIMD tile where the CPU supports it, fused conv+ReLU),
+     * bit-identical to the reference Network::forward; any other
+     * string throws ConfigError.
      */
     std::string kernel = "gemm";
     /** AMC target layer: "last_spatial", "early", or "layer:<i>". */

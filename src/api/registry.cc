@@ -266,77 +266,6 @@ InterpRegistry::resolve(const std::string &name) const
 }
 
 // --------------------------------------------------------------------
-// KernelRegistry
-
-KernelRegistry::KernelRegistry()
-{
-    // Every conv on the bit-exact GEMM tile (SIMD where supported,
-    // scalar otherwise), fused with a following ReLU: bit-identical
-    // to the reference Network::forward.
-    add("gemm", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({});
-        plan.tune = false;
-    });
-    // gemm + per-shape autotuning over the SIMD micro-kernel variants
-    // (kernel_tuner.h). An fma winner is bounded-divergence vs the
-    // scalar oracle, never bit-exact — see docs/simd_kernels.md for
-    // the verification contract. Falls back to scalar gemm when SIMD
-    // is unsupported on the running machine.
-    add("tuned", [](const ComponentSpec &spec, PlanOptions &plan) {
-        spec.allow_only({"budget_us"});
-        plan.tune = true;
-        plan.tune_budget_us = spec.integer("budget_us", 20000);
-        require(plan.tune_budget_us > 0,
-                "kernel spec '" + spec.text +
-                    "': budget_us must be > 0");
-    });
-}
-
-KernelRegistry &
-KernelRegistry::instance()
-{
-    static KernelRegistry registry;
-    return registry;
-}
-
-void
-KernelRegistry::add(const std::string &kind, Applier applier)
-{
-    require(!kind.empty(), "kernel registry: empty kind name");
-    entries_[kind] = std::move(applier);
-}
-
-bool
-KernelRegistry::contains(const std::string &kind) const
-{
-    return entries_.count(kind) != 0;
-}
-
-std::vector<std::string>
-KernelRegistry::names() const
-{
-    std::vector<std::string> out;
-    for (const auto &e : entries_) {
-        out.push_back(e.first);
-    }
-    return out;
-}
-
-void
-KernelRegistry::apply(const std::string &spec_text,
-                      PlanOptions &plan) const
-{
-    const ComponentSpec spec = parse_component_spec(spec_text);
-    const auto it = entries_.find(spec.kind);
-    if (it == entries_.end()) {
-        throw ConfigError("unknown execution kernel '" + spec.kind +
-                          "' in spec '" + spec_text +
-                          "' (known: " + join(names()) + ")");
-    }
-    it->second(spec, plan);
-}
-
-// --------------------------------------------------------------------
 // CodecRegistry
 
 CodecRegistry::CodecRegistry()

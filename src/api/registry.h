@@ -132,46 +132,6 @@ class InterpRegistry
 };
 
 /**
- * CNN execution kernel registry. A kernel spec configures how the
- * compiled execution plans run the network's layers; its applier
- * rewrites the PlanOptions embedded in an AmcOptions.
- *
- * Built-ins:
- *   `gemm`                   im2col + blocked-GEMM convolutions on the
- *                            bit-exact SIMD tile (the scalar reference
- *                            tile without SIMD), each fused with a
- *                            following ReLU; bit-identical to the
- *                            reference Network::forward. The default.
- *   `tuned[:budget_us=N]`    gemm plus per-shape autotuning of the
- *                            conv GEMM tile and the FC dot kernel
- *                            (bounded divergence, not bit-exact).
- *
- * Any other kind or parameter throws ConfigError.
- */
-class KernelRegistry
-{
-  public:
-    using Applier =
-        std::function<void(const ComponentSpec &spec, PlanOptions &plan)>;
-
-    static KernelRegistry &instance();
-
-    void add(const std::string &kind, Applier applier);
-
-    bool contains(const std::string &kind) const;
-
-    std::vector<std::string> names() const;
-
-    /** Apply a kernel spec to plan options. */
-    void apply(const std::string &spec, PlanOptions &plan) const;
-
-  private:
-    KernelRegistry();
-
-    std::map<std::string, Applier> entries_;
-};
-
-/**
  * Key-activation storage codec registry. A codec spec configures how
  * the key frame activation buffer stores the target activation; its
  * applier rewrites the storage-related fields of an AmcOptions

@@ -11,8 +11,7 @@ ReluLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 {
     Tensor &out = *ctx.out;
     // Lane-parallel max(x, 0) is bit-exact vs this loop, so SIMD is
-    // safe to take whenever the machine has it — no tuner or
-    // divergence gate involved.
+    // safe to take whenever the machine has it.
     if (simd_supported()) {
         relu_simd(in.data().data(), out.data().data(), in.size());
         return;

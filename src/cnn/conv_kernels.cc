@@ -168,8 +168,7 @@ im2col_pack_strip(const Tensor *const *ins, const ConvGeometry &g,
 i64
 conv_strip_width(GemmVariant variant)
 {
-    return variant == GemmVariant::kScalar ? kTileN
-                                           : gemm_strip_width(variant);
+    return variant == GemmVariant::kScalar ? kTileN : gemm_strip_width();
 }
 
 void
@@ -197,8 +196,8 @@ conv_gemm_strip(const Tensor *const *ins, const ConvGeometry &g,
         gemm_strip_scalar(weights, biases, panel, jn, g.out_c, taps, n,
                           j0, jn, out, fuse_relu);
     } else {
-        gemm_strip_simd(variant, weights, biases, panel, jn, g.out_c,
-                        taps, n, j0, jn, out, fuse_relu);
+        gemm_strip_simd(weights, biases, panel, jn, g.out_c, taps, n, j0,
+                        jn, out, fuse_relu);
     }
 }
 

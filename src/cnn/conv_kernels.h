@@ -14,12 +14,11 @@
  *  - kScalar, the scalar blocked tile: the one conv oracle. It is what
  *    the reference Network::forward runs, the non-SIMD fallback, and
  *    the tile every SIMD variant is compared against;
- *  - kExact, its bit-identical SIMD form (ExecutionPlan's default
- *    wherever simd_supported());
- *  - a tuner-picked fma tile (`kernel=tuned`, bounded divergence).
+ *  - kExact, its bit-identical SIMD form (what ExecutionPlan runs
+ *    wherever simd_supported()).
  *
- * All three share one packer (im2col_pack_strip), so the variants
- * differ only in the tile. Bit-exactness: packing only moves data, and
+ * Both share one packer (im2col_pack_strip), so the variants differ
+ * only in the tile. Bit-exactness: packing only moves data, and
  * for each output element the scalar tile and the kExact tile both
  * start from the bias and accumulate taps in ascending (in_c, ky, kx)
  * order into a single float accumulator, one multiply and one add per
@@ -86,8 +85,8 @@ i64 conv_strip_width(GemmVariant variant);
  * reference micro-kernel, internally tiled at its native width), with
  * gemm_strip_simd's addressing: panel rows `ld` floats apart, panel
  * column j feeding output column j0 + j, output rows `n` apart.
- * Exposed so tests can race the reference against the SIMD variants
- * on identical panels.
+ * Exposed so tests can race the reference against the SIMD tile on
+ * identical panels.
  */
 void gemm_strip_scalar(const float *weights, const float *biases,
                        const float *panel, i64 ld, i64 out_c, i64 taps,
@@ -98,8 +97,7 @@ void gemm_strip_scalar(const float *weights, const float *biases,
  * One strip of the conv GEMM: pack columns [j0, j0+jn) of `ins` (as
  * im2col_pack_strip numbers them) into the calling thread's panel,
  * then run `variant`'s tile over it into out[m*n + j]. The conv entry
- * points below run one call per parallel_for index; the tuner times
- * the same calls.
+ * points below run one call per parallel_for index.
  */
 void conv_gemm_strip(const Tensor *const *ins, const ConvGeometry &g,
                      const Shape &out_shape, const float *weights,
@@ -110,10 +108,8 @@ void conv_gemm_strip(const Tensor *const *ins, const ConvGeometry &g,
  * im2col + blocked GEMM convolution. `out` must be pre-shaped to the
  * layer's output shape; `weights` is [out_c][in_c][ky][kx] flat,
  * `biases` is [out_c]. kScalar (the default argument, the oracle) and
- * kExact are bit-identical (see file comment). An fma `variant`
- * (tuner-selected, see kernel_tuner.h) computes the same GEMM with
- * fused multiply-adds — bounded divergence vs the scalar reference,
- * never bit-exact. Any SIMD variant requires simd_supported().
+ * kExact are bit-identical (see file comment); kExact requires
+ * simd_supported().
  */
 void conv_im2col_gemm(const Tensor &in, const ConvGeometry &g,
                       const float *weights, const float *biases,

@@ -3,7 +3,6 @@
 #include "cnn/conv_kernels.h"
 #include "cnn/conv_layer.h"
 #include "cnn/fc_layer.h"
-#include "cnn/kernel_tuner.h"
 
 namespace eva2 {
 
@@ -12,12 +11,11 @@ namespace {
 /**
  * Compile layers [begin, end) of `net` for inputs of `in_shape`: the
  * step sequence both plans execute. Every conv runs the im2col GEMM on
- * exact_gemm_variant() (or a tuner pick under opts.tune) and absorbs
- * a directly following ReLU.
+ * exact_gemm_variant() and absorbs a directly following ReLU.
  */
 std::vector<CompiledStep>
 compile_steps(const Network &net, i64 begin, i64 end, Shape in_shape,
-              const PlanOptions &opts, const char *what)
+              const char *what)
 {
     require(begin >= 0 && end <= net.num_layers() && begin <= end,
             std::string(what) + ": bad layer range [" +
@@ -32,7 +30,6 @@ compile_steps(const Network &net, i64 begin, i64 end, Shape in_shape,
         step.layer_index = i;
         step.out_shape = layer.out_shape(s);
         if (layer.kind() == LayerKind::kConv) {
-            const WindowGeometry g = layer.geometry();
             step.conv_variant = exact_gemm_variant();
             if (i + 1 < end &&
                 net.layer(i + 1).kind() == LayerKind::kRelu) {
@@ -41,18 +38,6 @@ compile_steps(const Network &net, i64 begin, i64 end, Shape in_shape,
                 step.fuse_relu = true;
                 ++i;
             }
-            if (opts.tune) {
-                // After the fuse decision: fusion is part of the
-                // tuning key (it changes the kernel's epilogue).
-                step.conv_variant = tune_conv_gemm(
-                    ConvGeometry{s.c, step.out_shape.c, g.kernel,
-                                 g.stride, g.pad},
-                    step.out_shape.h, step.out_shape.w, step.fuse_relu,
-                    opts.tune_budget_us);
-            }
-        } else if (opts.tune && layer.kind() == LayerKind::kFc) {
-            step.simd_fc = tune_fc_simd(s.size(), step.out_shape.size(),
-                                        opts.tune_budget_us);
         }
         s = step.out_shape;
         steps.push_back(step);
@@ -67,7 +52,6 @@ step_ctx(const CompiledStep &step, Tensor *out)
     ForwardCtx ctx;
     ctx.out = out;
     ctx.conv_variant = step.conv_variant;
-    ctx.simd_fc = step.simd_fc;
     ctx.fuse_relu = step.fuse_relu;
     return ctx;
 }
@@ -82,8 +66,7 @@ ExecutionPlan::ExecutionPlan(const Network &net, i64 begin, i64 end,
       in_shape_(in_shape),
       out_shape_(in_shape),
       opts_(opts),
-      steps_(compile_steps(net, begin, end, in_shape, opts,
-                           "execution plan"))
+      steps_(compile_steps(net, begin, end, in_shape, "execution plan"))
 {
     if (!steps_.empty()) {
         out_shape_ = steps_.back().out_shape;
@@ -137,8 +120,7 @@ BatchedExecutionPlan::BatchedExecutionPlan(const Network &net, i64 begin,
       opts_(opts),
       // The same steps ExecutionPlan compiles, so a batched run
       // executes exactly what the unbatched plan would.
-      steps_(compile_steps(net, begin, end, in_shape, opts,
-                           "batched plan"))
+      steps_(compile_steps(net, begin, end, in_shape, "batched plan"))
 {
     require(max_batch >= 1 && max_batch <= kMaxSuffixBatch,
             "batched plan: max_batch must be in [1, " +
@@ -209,7 +191,7 @@ BatchedExecutionPlan::run(const Tensor *const *inputs, i64 n,
                                      step.conv_variant);
         } else if (kind == LayerKind::kFc) {
             static_cast<const FcLayer *>(step.layer)->forward_batched(
-                cur, n, louts, /*fuse_relu=*/false, step.simd_fc);
+                cur, n, louts, /*fuse_relu=*/false);
         } else {
             for (i64 i = 0; i < n; ++i) {
                 step.layer->forward_into(
@@ -241,7 +223,7 @@ ExecutionPlan::describe() const
         if (kind == LayerKind::kConv) {
             info.variant = gemm_variant_name(step.conv_variant);
         } else if (kind == LayerKind::kFc) {
-            info.variant = step.simd_fc ? "simd" : "scalar";
+            info.variant = "scalar";
         }
         info.fused_relu = step.fuse_relu;
         info.out = step.out_shape;

@@ -18,9 +18,7 @@
  *    exact_gemm_variant() — the bit-exact SIMD register tile wherever
  *    simd_supported(), the scalar reference tile otherwise (see
  *    conv_kernels.h) — and folds a directly following ReLU into its
- *    output write. Both choices are bit-identical to Network::forward;
- *    only `tune` (the `kernel=tuned` spec) trades bit-exactness for a
- *    bounded-divergence fma tile or SIMD FC dot.
+ *    output write. Both choices are bit-identical to Network::forward.
  *
  * A plan borrows its Network and is immutable after compilation, so
  * one plan may be shared by any number of threads, each running it
@@ -37,24 +35,14 @@
 
 namespace eva2 {
 
-/** Compilation knobs for ExecutionPlan. */
+/**
+ * Compilation options for ExecutionPlan. A plan's kernels follow from
+ * the machine alone (exact_gemm_variant()), so there is nothing to
+ * choose; the struct stays as the plans' and AmcOptions' options
+ * parameter.
+ */
 struct PlanOptions
 {
-    /**
-     * Autotune kernels per layer shape (the `kernel=tuned` registry
-     * spec): at compile time every conv layer's GEMM micro-kernel
-     * variant and every FC layer's dot kernel are picked by
-     * KernelTuner contests on synthetic data of the real shape,
-     * cached process-wide so each shape tunes once. The bit-exact
-     * SIMD tile is every conv contest's reference candidate, so an
-     * fma winner has to beat it; fma and SIMD FC winners are
-     * bounded-divergence vs the scalar reference (fma, tree
-     * reductions) — see docs/simd_kernels.md for the verification
-     * contract. No-op when SIMD is unsupported on this machine.
-     */
-    bool tune = false;
-    /** Per-contest tuning budget in microseconds (tune only). */
-    i64 tune_budget_us = 20000;
 };
 
 /** One compiled step, as exposed for reports and tests. */
@@ -64,9 +52,9 @@ struct PlanStepInfo
     std::string layer;    ///< Layer report name.
     std::string kernel;   ///< Selected kernel name.
     /**
-     * Chosen micro-kernel variant: the GEMM register tile for gemm
-     * convs ("simd_exact", "scalar", "mr2xnv4", ...), "simd"/"scalar"
-     * for FC layers, empty for steps with no variant dimension.
+     * Chosen micro-kernel variant: the GEMM register tile for convs
+     * ("simd_exact" or "scalar"), "scalar" for FC layers, empty for
+     * steps with no variant dimension.
      */
     std::string variant;
     bool fused_relu = false;
@@ -83,15 +71,8 @@ struct CompiledStep
     const Layer *layer = nullptr;
     i64 layer_index = 0;
     Shape out_shape;
-    /**
-     * GEMM variant of a conv step: exact_gemm_variant() unless
-     * opts.tune picks an fma tile. The contest runs on the per-sample
-     * shape, so the batched plan reuses the unbatched plan's pick for
-     * every batch size.
-     */
+    /** GEMM variant of a conv step: exact_gemm_variant(). */
     GemmVariant conv_variant = GemmVariant::kScalar;
-    /** Tuner-picked SIMD FC dot kernel (false unless opts.tune). */
-    bool simd_fc = false;
     bool fuse_relu = false;
 };
 

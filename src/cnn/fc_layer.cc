@@ -87,27 +87,18 @@ FcLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
     Tensor &out = *ctx.out;
     Span<const float> x = in.data();
     const bool fuse_relu = ctx.fuse_relu;
-    const bool simd = ctx.simd_fc;
     // Output neurons are independent and write disjoint elements, so
     // the split is bit-identical to the serial loop (same per-neuron
     // accumulation order) — the ConvLayer pattern, applied to the
-    // non-spatial suffix. Grain keeps cheap rows batched. The SIMD
-    // dot kernel changes the per-neuron accumulation order (fma +
-    // tree reduction): bounded divergence, tuner-selected only.
+    // non-spatial suffix. Grain keeps cheap rows batched.
     parallel_for(
         0, out_dim_,
         [&](i64 o) {
             const float *w =
                 &weights_[static_cast<size_t>(o * in_dim_)];
-            float acc;
-            if (simd) {
-                acc = fc_dot_simd(w, x.data(), in_dim_,
-                                  biases_[static_cast<size_t>(o)]);
-            } else {
-                acc = biases_[static_cast<size_t>(o)];
-                for (i64 i = 0; i < in_dim_; ++i) {
-                    acc += w[i] * x[static_cast<size_t>(i)];
-                }
+            float acc = biases_[static_cast<size_t>(o)];
+            for (i64 i = 0; i < in_dim_; ++i) {
+                acc += w[i] * x[static_cast<size_t>(i)];
             }
             out[o] = fuse_relu ? (acc > 0.0f ? acc : 0.0f) : acc;
         },
@@ -116,8 +107,7 @@ FcLayer::forward_into(const Tensor &in, const ForwardCtx &ctx) const
 
 void
 FcLayer::forward_batched(const Tensor *const *ins, i64 nb,
-                         Tensor *const *outs, bool fuse_relu,
-                         bool simd) const
+                         Tensor *const *outs, bool fuse_relu) const
 {
     require(nb >= 1 && nb <= kMaxSuffixBatch,
             "fc: batch must be in [1, " +
@@ -147,13 +137,7 @@ FcLayer::forward_batched(const Tensor *const *ins, i64 nb,
             float acc[kFcBlock];
             for (i64 s0 = 0; s0 < nb; s0 += kFcBlock) {
                 const i64 blk = std::min<i64>(kFcBlock, nb - s0);
-                if (simd) {
-                    fc_dot_batched_simd(w, bias, xs + s0, blk, in_dim_,
-                                        acc);
-                } else {
-                    fc_accumulate_block(w, bias, xs + s0, blk, in_dim_,
-                                        acc);
-                }
+                fc_accumulate_block(w, bias, xs + s0, blk, in_dim_, acc);
                 for (i64 s = 0; s < blk; ++s) {
                     (*outs[s0 + s])[o] =
                         fuse_relu ? (acc[s] > 0.0f ? acc[s] : 0.0f)

@@ -41,14 +41,9 @@ class FcLayer : public Layer
      * tensors the suffix touches. Per-sample accumulation (bias, then
      * ascending input index) is identical to forward_into, so each
      * sample's output is bit-identical to a batch-of-1 call.
-     *
-     * With `simd` (tuner-selected; requires simd_supported()), each
-     * sample's chain runs through the SIMD dot kernel instead —
-     * bounded divergence vs the scalar chains, never bit-exact.
      */
     void forward_batched(const Tensor *const *ins, i64 nb,
-                         Tensor *const *outs, bool fuse_relu,
-                         bool simd = false) const;
+                         Tensor *const *outs, bool fuse_relu) const;
 
     Shape out_shape(const Shape &in) const override;
     LayerKind kind() const override { return LayerKind::kFc; }

@@ -67,8 +67,7 @@ constexpr i64 kMaxSuffixBatch = 64;
  * by the caller — in planned execution, a per-worker ScratchArena
  * slot — so the layer writes in place instead of returning a fresh
  * tensor. A default-constructed context (plus `out`) selects the
- * reference kernels: the scalar GEMM conv tile, no fused ReLU, the
- * scalar FC chain.
+ * reference kernels: the scalar GEMM conv tile and no fused ReLU.
  */
 struct ForwardCtx
 {
@@ -81,17 +80,10 @@ struct ForwardCtx
     bool fuse_relu = false;
     /**
      * GEMM micro-kernel variant for the im2col conv. kScalar is the
-     * reference tile and kExact its bit-identical SIMD form (the
-     * plans' default); the fma variants are tuner-selected by
-     * `kernel=tuned` plans and bounded-divergence. Every SIMD variant
-     * requires simd_supported().
+     * reference tile and kExact its bit-identical SIMD form (what the
+     * plans run wherever simd_supported(), which kExact requires).
      */
     GemmVariant conv_variant = GemmVariant::kScalar;
-    /**
-     * Run FC layers through the SIMD dot kernel (tuner-selected, see
-     * kernel_tuner.h). Bounded-divergence; requires simd_supported().
-     */
-    bool simd_fc = false;
 };
 
 /**

@@ -96,8 +96,8 @@ FramePlan::FramePlan(const Network &net,
     rfbme_config_.search_radius = opts.search_radius;
     rfbme_config_.search_stride = opts.search_stride;
     // The SIMD diff-tile producer sums the same integers as the
-    // scalar oracle and CI holds it at >= 2x scalar, so every kernel
-    // spec runs it wherever the CPU has it, without a tuner contest.
+    // scalar oracle and CI holds it at >= 2x scalar, so it runs
+    // wherever the CPU has it.
     rfbme_config_.variant = simd_supported() ? RfbmeVariant::kSimd
                                              : RfbmeVariant::kScalar;
 }

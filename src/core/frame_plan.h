@@ -107,9 +107,9 @@ struct AmcOptions
      */
     double storage_prune_rel = 0.12;
     /**
-     * CNN execution plan compilation options (autotuning). The
-     * default — bit-exact im2col/blocked-GEMM convs with fused ReLU —
-     * is bit-identical to the reference Network::forward.
+     * CNN execution plan compilation options. Plans run bit-exact
+     * im2col/blocked-GEMM convs with fused ReLU, bit-identical to the
+     * reference Network::forward.
      */
     PlanOptions plan;
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "cnn/kernel_tuner.h"
 #include "simd/simd_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/fixed_point.h"
@@ -175,64 +172,6 @@ build_bilinear_coeffs(const MotionField &field, i64 h, i64 w,
     }
 }
 
-/**
- * Per-shape scalar-vs-SIMD contest for the RLE-direct apply, run once
- * per (mode, h, w) per process via KernelTuner and memoized per
- * thread so steady-state warps never touch the tuner's global lock.
- * Both candidates are bit-exact (same expression tree), so the pick
- * only moves time, never values. Uses whatever is resident in the
- * thread's coefficient arrays and expansion plane — real geometry,
- * representative data.
- */
-bool
-rle_apply_use_simd(InterpMode mode, i64 h, i64 w,
-                   const WarpWorkspace &ws)
-{
-    if (!simd_supported()) {
-        return false;
-    }
-    const std::string key =
-        std::string("warp_rle/") +
-        (mode == InterpMode::kBilinear ? "bilinear" : "nearest") + "/" +
-        std::to_string(h) + "x" + std::to_string(w);
-    thread_local std::map<std::string, bool> memo;
-    const auto it = memo.find(key);
-    if (it != memo.end()) {
-        return it->second;
-    }
-    const i64 n = h * w;
-    thread_local std::vector<float> tune_out;
-    tune_out.resize(static_cast<size_t>(n));
-    std::vector<TuneCandidate> candidates;
-    if (mode == InterpMode::kBilinear) {
-        candidates.push_back(TuneCandidate{
-            "scalar", 0, [&ws, n] {
-                apply_bilinear(ws.plane.data(), ws, n, tune_out.data(),
-                               false);
-            }});
-        candidates.push_back(TuneCandidate{
-            simd_isa_name(), 1, [&ws, n] {
-                apply_bilinear(ws.plane.data(), ws, n, tune_out.data(),
-                               true);
-            }});
-    } else {
-        candidates.push_back(TuneCandidate{
-            "scalar", 0, [&ws, n] {
-                apply_nearest(ws.plane.data(), ws, n, tune_out.data(),
-                              false);
-            }});
-        candidates.push_back(TuneCandidate{
-            simd_isa_name(), 1, [&ws, n] {
-                apply_nearest(ws.plane.data(), ws, n, tune_out.data(),
-                              true);
-            }});
-    }
-    const bool simd =
-        KernelTuner::instance().pick(key, candidates, 2000).id == 1;
-    memo.emplace(key, simd);
-    return simd;
-}
-
 } // namespace
 
 void
@@ -324,7 +263,7 @@ warp_activation_rle_into(const RleActivation &key,
         build_bilinear_coeffs(field, h, w, inv_stride, ws);
     }
     ws.plane.resize(static_cast<size_t>(n));
-    const bool simd = rle_apply_use_simd(mode, h, w, ws);
+    const bool simd = simd_supported();
     for (i64 c = 0; c < c_count; ++c) {
         const RleChannel &ch = key.channels[static_cast<size_t>(c)];
         invariant(ch.dense_length == n,

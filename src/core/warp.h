@@ -63,12 +63,8 @@ void warp_activation_into(const Tensor &key_activation,
  * kernels as warp_activation_into; channels with no encoded entries
  * (fully pruned by the RLE zero threshold) skip the gather entirely
  * and write an exact +0.0 plane. Bit-identical to
- * warp_activation_into(rle_decode(key), ...) by construction.
- *
- * The per-shape choice between the scalar and SIMD apply kernels is
- * made by KernelTuner (key "warp_rle/<mode>/<h>x<w>"); both
- * candidates are in the bit-exact kernel class (docs/simd_kernels.md),
- * so the pick never affects digests.
+ * warp_activation_into(rle_decode(key), ...) by construction, and
+ * like it runs the SIMD apply kernels wherever simd_supported().
  */
 void warp_activation_rle_into(const RleActivation &key,
                               const MotionField &field, i64 rf_stride,

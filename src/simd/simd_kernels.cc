@@ -29,24 +29,8 @@ gemm_variant_name(GemmVariant v)
     switch (v) {
       case GemmVariant::kScalar: return "scalar";
       case GemmVariant::kExact: return "simd_exact";
-      case GemmVariant::kMr1xNv4: return "mr1xnv4";
-      case GemmVariant::kMr2xNv2: return "mr2xnv2";
-      case GemmVariant::kMr2xNv4: return "mr2xnv4";
-      case GemmVariant::kMr4xNv2: return "mr4xnv2";
-      case GemmVariant::kMr4xNv3: return "mr4xnv3";
     }
     return "unknown";
-}
-
-const std::vector<GemmVariant> &
-simd_gemm_variants()
-{
-    static const std::vector<GemmVariant> variants = {
-        GemmVariant::kMr1xNv4, GemmVariant::kMr2xNv2,
-        GemmVariant::kMr2xNv4, GemmVariant::kMr4xNv2,
-        GemmVariant::kMr4xNv3,
-    };
-    return variants;
 }
 
 GemmVariant
@@ -102,13 +86,12 @@ namespace {
  * packed-column vector once per k and reuses it across the MR rows —
  * the arithmetic-intensity win the scalar blocked kernel (one row at
  * a time) cannot have. Per output element the accumulation is
- * ascending-k into a single chain starting from the bias. Fused tiles
- * use fma (one rounding per tap, bounded divergence); unfused tiles
- * spell out mul then add (two roundings per tap, and the TU's
+ * ascending-k into a single chain starting from the bias, spelled out
+ * as mul then add (two roundings per tap, and the TU's
  * -ffp-contract=off keeps them apart), so every lane repeats the
  * scalar gemm_tile sequence exactly.
  */
-template <int MR, int NV, bool Fused>
+template <int MR, int NV>
 void
 gemm_register_tile(const float *weights, const float *biases,
                    const float *panel, i64 ld, i64 m0, i64 taps,
@@ -132,11 +115,7 @@ gemm_register_tile(const float *weights, const float *biases,
         for (int r = 0; r < MR; ++r) {
             const VecF wv = VecF::broadcast(wcol[r * taps]);
             for (int v = 0; v < NV; ++v) {
-                if constexpr (Fused) {
-                    acc[r][v] = acc[r][v].fma(wv, bv[v]);
-                } else {
-                    acc[r][v] = acc[r][v] + wv * bv[v];
-                }
+                acc[r][v] = acc[r][v] + wv * bv[v];
             }
         }
     }
@@ -154,8 +133,7 @@ gemm_register_tile(const float *weights, const float *biases,
 /**
  * Tail columns of a strip (fewer than one vector), addressed like
  * gemm_register_tile: scalar, ascending k, explicit mul+add — the
- * scalar reference sequence, so the tail is bit-exact for every
- * variant.
+ * scalar reference sequence, so the tail is bit-exact too.
  */
 void
 gemm_scalar_tail(const float *weights, const float *biases,
@@ -175,60 +153,40 @@ gemm_scalar_tail(const float *weights, const float *biases,
     }
 }
 
-/** Geometry of one variant's register tile. */
-struct TileGeom
-{
-    int mr;
-    int nv;
-};
+/** The kExact register tile: 4 weight rows by 2 vectors of pixels. */
+constexpr int kExactMr = 4;
+constexpr int kExactNv = 2;
 
-TileGeom
-variant_geom(GemmVariant v)
-{
-    switch (v) {
-      case GemmVariant::kExact: return {4, 2};
-      case GemmVariant::kMr1xNv4: return {1, 4};
-      case GemmVariant::kMr2xNv2: return {2, 2};
-      case GemmVariant::kMr2xNv4: return {2, 4};
-      case GemmVariant::kMr4xNv2: return {4, 2};
-      case GemmVariant::kMr4xNv3: return {4, 3};
-      case GemmVariant::kScalar: break;
-    }
-    throw InternalError("gemm_strip_simd: scalar variant dispatched "
-                        "to the SIMD kernel");
-}
+} // namespace
 
-template <int MR, int NV, bool Fused>
 void
-gemm_strip_impl(const float *weights, const float *biases,
+gemm_strip_simd(const float *weights, const float *biases,
                 const float *panel, i64 ld, i64 out_c, i64 taps, i64 n,
                 i64 j0, i64 jn, float *out, bool fuse_relu)
 {
     constexpr i64 L = VecF::kLanes;
-    constexpr i64 kFull = NV * L;
+    constexpr i64 kFull = kExactNv * L;
     // Panel column j is output column j0 + j.
     float *strip_out = out + j0;
     i64 j = 0;
     for (; j + kFull <= jn; j += kFull) {
         i64 m0 = 0;
-        for (; m0 + MR <= out_c; m0 += MR) {
-            gemm_register_tile<MR, NV, Fused>(weights, biases, panel + j,
-                                              ld, m0, taps,
-                                              strip_out + j, n,
-                                              fuse_relu);
+        for (; m0 + kExactMr <= out_c; m0 += kExactMr) {
+            gemm_register_tile<kExactMr, kExactNv>(
+                weights, biases, panel + j, ld, m0, taps, strip_out + j,
+                n, fuse_relu);
         }
         for (; m0 < out_c; ++m0) {
-            gemm_register_tile<1, NV, Fused>(weights, biases, panel + j,
-                                             ld, m0, taps, strip_out + j,
-                                             n, fuse_relu);
+            gemm_register_tile<1, kExactNv>(weights, biases, panel + j,
+                                            ld, m0, taps, strip_out + j,
+                                            n, fuse_relu);
         }
     }
     // Single-vector columns past the last full tile.
     for (; j + L <= jn; j += L) {
         for (i64 m0 = 0; m0 < out_c; ++m0) {
-            gemm_register_tile<1, 1, Fused>(weights, biases, panel + j,
-                                            ld, m0, taps, strip_out + j,
-                                            n, fuse_relu);
+            gemm_register_tile<1, 1>(weights, biases, panel + j, ld, m0,
+                                     taps, strip_out + j, n, fuse_relu);
         }
     }
     if (j < jn) {
@@ -237,128 +195,12 @@ gemm_strip_impl(const float *weights, const float *biases,
     }
 }
 
-} // namespace
-
-void
-gemm_strip_simd(GemmVariant variant, const float *weights,
-                const float *biases, const float *panel, i64 ld,
-                i64 out_c, i64 taps, i64 n, i64 j0, i64 jn, float *out,
-                bool fuse_relu)
-{
-    switch (variant) {
-      case GemmVariant::kExact:
-        gemm_strip_impl<4, 2, false>(weights, biases, panel, ld, out_c,
-                                     taps, n, j0, jn, out, fuse_relu);
-        return;
-      case GemmVariant::kMr1xNv4:
-        gemm_strip_impl<1, 4, true>(weights, biases, panel, ld, out_c,
-                                    taps, n, j0, jn, out, fuse_relu);
-        return;
-      case GemmVariant::kMr2xNv2:
-        gemm_strip_impl<2, 2, true>(weights, biases, panel, ld, out_c,
-                                    taps, n, j0, jn, out, fuse_relu);
-        return;
-      case GemmVariant::kMr2xNv4:
-        gemm_strip_impl<2, 4, true>(weights, biases, panel, ld, out_c,
-                                    taps, n, j0, jn, out, fuse_relu);
-        return;
-      case GemmVariant::kMr4xNv2:
-        gemm_strip_impl<4, 2, true>(weights, biases, panel, ld, out_c,
-                                    taps, n, j0, jn, out, fuse_relu);
-        return;
-      case GemmVariant::kMr4xNv3:
-        gemm_strip_impl<4, 3, true>(weights, biases, panel, ld, out_c,
-                                    taps, n, j0, jn, out, fuse_relu);
-        return;
-      case GemmVariant::kScalar: break;
-    }
-    throw InternalError("gemm_strip_simd: scalar variant dispatched "
-                        "to the SIMD kernel");
-}
-
 i64
-gemm_strip_width(GemmVariant variant)
+gemm_strip_width()
 {
     // Four full register tiles per parallel_for strip: wide enough to
     // amortize the dispatch, narrow enough to split small planes.
-    const TileGeom g = variant_geom(variant);
-    return 4 * static_cast<i64>(g.nv) * VecF::kLanes;
-}
-
-float
-fc_dot_simd(const float *w, const float *x, i64 n, float bias)
-{
-    constexpr i64 L = VecF::kLanes;
-    VecF a0 = VecF::zero();
-    VecF a1 = VecF::zero();
-    VecF a2 = VecF::zero();
-    VecF a3 = VecF::zero();
-    i64 i = 0;
-    for (; i + 4 * L <= n; i += 4 * L) {
-        a0 = a0.fma(VecF::load(w + i), VecF::load(x + i));
-        a1 = a1.fma(VecF::load(w + i + L), VecF::load(x + i + L));
-        a2 = a2.fma(VecF::load(w + i + 2 * L),
-                    VecF::load(x + i + 2 * L));
-        a3 = a3.fma(VecF::load(w + i + 3 * L),
-                    VecF::load(x + i + 3 * L));
-    }
-    for (; i + L <= n; i += L) {
-        a0 = a0.fma(VecF::load(w + i), VecF::load(x + i));
-    }
-    float s = ((a0 + a1) + (a2 + a3)).hsum();
-    for (; i < n; ++i) {
-        s += w[i] * x[i];
-    }
-    return bias + s;
-}
-
-namespace {
-
-template <int NB>
-void
-fc_dot_batched_impl(const float *w, float bias, const float *const *xs,
-                    i64 n, float *out)
-{
-    constexpr i64 L = VecF::kLanes;
-    VecF acc[NB];
-    for (int s = 0; s < NB; ++s) {
-        acc[s] = VecF::zero();
-    }
-    i64 i = 0;
-    for (; i + L <= n; i += L) {
-        const VecF wv = VecF::load(w + i);
-        for (int s = 0; s < NB; ++s) {
-            acc[s] = acc[s].fma(wv, VecF::load(xs[s] + i));
-        }
-    }
-    for (int s = 0; s < NB; ++s) {
-        float t = acc[s].hsum();
-        for (i64 j = i; j < n; ++j) {
-            t += w[j] * xs[s][j];
-        }
-        out[s] = bias + t;
-    }
-}
-
-} // namespace
-
-void
-fc_dot_batched_simd(const float *w, float bias, const float *const *xs,
-                    i64 nb, i64 n, float *out)
-{
-    switch (nb) {
-      case 1: fc_dot_batched_impl<1>(w, bias, xs, n, out); return;
-      case 2: fc_dot_batched_impl<2>(w, bias, xs, n, out); return;
-      case 3: fc_dot_batched_impl<3>(w, bias, xs, n, out); return;
-      case 4: fc_dot_batched_impl<4>(w, bias, xs, n, out); return;
-      case 5: fc_dot_batched_impl<5>(w, bias, xs, n, out); return;
-      case 6: fc_dot_batched_impl<6>(w, bias, xs, n, out); return;
-      case 7: fc_dot_batched_impl<7>(w, bias, xs, n, out); return;
-      case 8: fc_dot_batched_impl<8>(w, bias, xs, n, out); return;
-      default:
-        throw InternalError("fc_dot_batched_simd: block width out of "
-                            "range");
-    }
+    return 4 * kExactNv * VecF::kLanes;
 }
 
 void

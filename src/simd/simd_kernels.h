@@ -9,28 +9,17 @@
  * must only be *called* after a positive simd_supported() check —
  * callers fall back to the scalar reference kernels otherwise.
  *
- * Two numeric classes of kernel live here:
- *
- *  - Bit-exact: relu_simd, the warp_apply_* kernels, the u8 pixel
- *    quantizer, and the kExact GEMM tile perform, per element,
- *    exactly the operation sequence of the scalar reference
- *    (lane-parallel max / mul / add, no fma, no reordering). The u8
- *    SAD kernels (sad_span_u8_simd / sad_tile_band_u8_simd) sum
- *    integers, so any order gives the scalar result. All of these
- *    are drop-in replacements,
- *    need no divergence gating, and run by default wherever
- *    simd_supported().
- *  - Bounded-divergence: the fma GEMM register tiles (one rounding
- *    where the scalar reference has two) and the FC kernels (fma plus
- *    a tree-order horizontal sum). These are only selected through
- *    the `kernel=tuned` path, which the two-tier verification story
- *    gates on the tensor_ops ulp/L-inf digest check and end-task
- *    accuracy parity (docs/simd_kernels.md).
+ * Every kernel here is bit-exact against its scalar reference:
+ * relu_simd, the warp_apply_* kernels, the u8 pixel quantizer and the
+ * kExact GEMM tile perform, per element, exactly the operation
+ * sequence of the scalar reference (lane-parallel max / mul / add, no
+ * fma, no reordering), and the u8 SAD kernels (sad_span_u8_simd /
+ * sad_tile_band_u8_simd) sum integers, so any order gives the scalar
+ * result. All of them are drop-in replacements that run by default
+ * wherever simd_supported().
  */
 #ifndef EVA2_SIMD_SIMD_KERNELS_H
 #define EVA2_SIMD_SIMD_KERNELS_H
-
-#include <vector>
 
 #include "util/common.h"
 
@@ -40,35 +29,21 @@ namespace eva2 {
  * A GEMM micro-kernel variant. kScalar is the reference blocked
  * kernel in conv_kernels.cc. kExact is a SIMD register tile (4 weight
  * rows by 2 vectors of output pixels) that accumulates with mul then
- * add, so it is bit-identical to kScalar; it is the default for every
- * untuned gemm conv wherever simd_supported(). The kMrXxNvY variants
- * are fma register tiles of X weight rows by Y vectors of output
- * pixels (X*Y accumulator vectors held live; larger X amortizes the
- * packed-column loads across weight rows, larger Y hides fma
- * latency) that the tuner searches over.
+ * add, so it is bit-identical to kScalar; it is what every conv runs
+ * wherever simd_supported().
  */
 enum class GemmVariant : i64
 {
     kScalar = 0,
-    kMr1xNv4,
-    kMr2xNv2,
-    kMr2xNv4,
-    kMr4xNv2,
-    kMr4xNv3,
     kExact,
 };
 
-/** Printable variant name ("scalar", "simd_exact", "mr2xnv4", ...). */
+/** Printable variant name ("scalar" or "simd_exact"). */
 const char *gemm_variant_name(GemmVariant v);
 
-/** The fma variants the tuner races against kExact (excludes the two
- * bit-exact variants). */
-const std::vector<GemmVariant> &simd_gemm_variants();
-
 /**
- * The bit-exact GEMM variant for this machine: kExact when
- * simd_supported(), kScalar otherwise. ExecutionPlan runs it for every
- * untuned gemm conv.
+ * The GEMM variant for this machine: kExact when simd_supported(),
+ * kScalar otherwise. ExecutionPlan runs it for every conv.
  */
 GemmVariant exact_gemm_variant();
 
@@ -89,42 +64,24 @@ const char *simd_isa_name();
 i64 simd_lanes();
 
 /**
- * SIMD blocked GEMM over one packed column strip: out[m][j0+j] =
+ * The kExact SIMD GEMM over one packed column strip: out[m][j0+j] =
  * bias[m] + sum_k w[m][k] * panel[k][j] for j in [0, jn), all m in
  * [0, out_c). Row k of the strip's panel starts at panel + k*ld
  * (ld >= jn; see im2col_pack_strip in cnn/conv_kernels.h); row m of
  * `out` at out + m*n, so output column j0 + j takes panel column j.
- * Accumulation per output element is ascending-k from the bias, with
- * mul+add for kExact (bit-exact) and fused multiply-adds for the
- * other variants; columns beyond the last full vector run through a
- * scalar mul+add tail. Requires simd_supported().
+ * Accumulation per output element is ascending-k from the bias with
+ * mul then add, so the result is bit-identical to the scalar tile;
+ * columns beyond the last full vector run through a scalar mul+add
+ * tail. Requires simd_supported().
  */
-void gemm_strip_simd(GemmVariant variant, const float *weights,
-                     const float *biases, const float *panel, i64 ld,
-                     i64 out_c, i64 taps, i64 n, i64 j0, i64 jn,
-                     float *out, bool fuse_relu);
+void gemm_strip_simd(const float *weights, const float *biases,
+                     const float *panel, i64 ld, i64 out_c, i64 taps,
+                     i64 n, i64 j0, i64 jn, float *out, bool fuse_relu);
 
-/** Column-strip width gemm_strip_simd wants for a variant, in
- * pixels: the conv engine packs and multiplies one panel of this
- * many columns per parallel_for index. */
-i64 gemm_strip_width(GemmVariant variant);
-
-/**
- * SIMD dot product: bias + sum_i w[i] * x[i], accumulated in four
- * independent vector chains (fma) and reduced pairwise. Bounded
- * divergence vs the scalar left-to-right chain.
- */
-float fc_dot_simd(const float *w, const float *x, i64 n, float bias);
-
-/**
- * Batched SIMD FC row: one weight row dotted against nb sample
- * vectors (nb <= 8), each sample accumulated independently as in
- * fc_dot_simd. The weight vector is loaded once per block of taps
- * and reused across samples.
- */
-void fc_dot_batched_simd(const float *w, float bias,
-                         const float *const *xs, i64 nb, i64 n,
-                         float *out);
+/** Column-strip width gemm_strip_simd wants, in pixels: the conv
+ * engine packs and multiplies one panel of this many columns per
+ * parallel_for index. */
+i64 gemm_strip_width();
 
 /** Lane-parallel max(x, 0): bit-exact vs the scalar loop. */
 void relu_simd(const float *in, float *out, i64 n);

@@ -16,22 +16,15 @@
  * Everything else reaches the SIMD kernels through the plain-function
  * interface in simd_kernels.h, which is safe to include anywhere.
  *
- * Numerics contract (what the two-tier verification story leans on):
- *
- *  - add/mul/max are lane-wise IEEE single ops: vectorizing a loop
- *    across independent outputs with them is *value-safe* (each
- *    lane's operation sequence equals the scalar loop's).
- *  - fma() fuses the multiply-add (no intermediate rounding) where
- *    the ISA has it — faster and *more* accurate than mul+add, but
- *    not bit-identical to it. Kernels that must stay bit-exact with
- *    the scalar reference use mul+add; kernels gated by the
- *    bounded-divergence check use fma.
- *  - hsum() reduces lanes pairwise (tree order) — a reassociation of
- *    the scalar left-to-right sum, again bounded-divergence only.
- *
- * The designated SIMD TUs are compiled with -ffp-contract=off so the
- * compiler cannot *implicitly* fuse what the kernels spell out as
- * mul+add; every fma in a kernel is an explicit fma() call.
+ * Numerics contract: add/mul/max are lane-wise IEEE single ops, so
+ * vectorizing a loop across independent outputs with them is
+ * *value-safe* — each lane's operation sequence equals the scalar
+ * loop's, and the kernels built on them are bit-exact against their
+ * scalar references. The wrapper offers no fused multiply-add and no
+ * horizontal reduction, since either would change the rounding or the
+ * order of the scalar sequence. The designated SIMD TU is compiled
+ * with -ffp-contract=off so the compiler cannot *implicitly* fuse
+ * what the kernels spell out as mul then add.
  */
 #ifndef EVA2_SIMD_VEC_H
 #define EVA2_SIMD_VEC_H
@@ -90,23 +83,6 @@ template <> struct Vec<float>
     {
         return {_mm256_max_ps(a.v, b.v)};
     }
-    /** this = a * b + this, fused (single rounding). */
-    Vec
-    fma(Vec a, Vec b) const
-    {
-        return {_mm256_fmadd_ps(a.v, b.v, v)};
-    }
-    /** Pairwise (tree-order) horizontal sum of the lanes. */
-    float
-    hsum() const
-    {
-        const __m128 lo = _mm256_castps256_ps128(v);
-        const __m128 hi = _mm256_extractf128_ps(v, 1);
-        __m128 s = _mm_add_ps(lo, hi);           // 0+4 1+5 2+6 3+7
-        s = _mm_add_ps(s, _mm_movehl_ps(s, s));  // +lanes 2,3
-        s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-        return _mm_cvtss_f32(s);
-    }
 };
 
 #elif defined(EVA2_SIMD_ISA_SSE2)
@@ -137,19 +113,6 @@ template <> struct Vec<float>
     max(Vec a, Vec b)
     {
         return {_mm_max_ps(a.v, b.v)};
-    }
-    /** SSE2 has no fused op: mul+add (two roundings). */
-    Vec
-    fma(Vec a, Vec b) const
-    {
-        return {_mm_add_ps(v, _mm_mul_ps(a.v, b.v))};
-    }
-    float
-    hsum() const
-    {
-        __m128 s = _mm_add_ps(v, _mm_movehl_ps(v, v));
-        s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-        return _mm_cvtss_f32(s);
     }
 };
 
@@ -182,31 +145,6 @@ template <> struct Vec<float>
     {
         return {vmaxq_f32(a.v, b.v)};
     }
-    Vec
-    fma(Vec a, Vec b) const
-    {
-#if defined(__aarch64__)
-        return {vfmaq_f32(v, a.v, b.v)}; // Fused on AArch64.
-#else
-        return {vmlaq_f32(v, a.v, b.v)};
-#endif
-    }
-    float
-    hsum() const
-    {
-#if defined(__aarch64__)
-        // vaddvq is a pairwise tree reduction, matching the
-        // documented hsum order.
-        const float32x2_t lohi =
-            vadd_f32(vget_low_f32(v), vget_high_f32(v));
-        return vget_lane_f32(vpadd_f32(lohi, lohi), 0);
-#else
-        const float32x2_t lohi =
-            vadd_f32(vget_low_f32(v), vget_high_f32(v));
-        const float32x2_t s = vpadd_f32(lohi, lohi);
-        return vget_lane_f32(s, 0);
-#endif
-    }
 };
 
 #else // EVA2_SIMD_ISA_SCALAR
@@ -235,8 +173,6 @@ template <> struct Vec<float>
     {
         return {a.v > b.v ? a.v : b.v};
     }
-    Vec fma(Vec a, Vec b) const { return {v + a.v * b.v}; }
-    float hsum() const { return v; }
 };
 
 #endif

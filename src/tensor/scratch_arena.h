@@ -86,13 +86,16 @@ class ScratchArena
     /** Slots created so far. */
     i64 num_slots() const { return static_cast<i64>(slots_.size()); }
 
-    /** Bytes currently held across all slot buffers. */
+    /**
+     * Bytes currently held across all slot buffers: each slot's
+     * capacity, which a reshape to a smaller shape keeps.
+     */
     u64
     bytes_reserved() const
     {
         u64 bytes = 0;
         for (const auto &t : slots_) {
-            bytes += static_cast<u64>(t->size()) * sizeof(float);
+            bytes += static_cast<u64>(t->capacity()) * sizeof(float);
         }
         return bytes;
     }

@@ -102,6 +102,12 @@ class Tensor
     i64 width() const { return shape_.w; }
     i64 size() const { return shape_.size(); }
     bool empty() const { return data_.empty(); }
+    /**
+     * Elements the buffer holds, which reshape_to never shrinks: at
+     * least size(), and the largest shape reshaped to since the last
+     * (re)assignment.
+     */
+    i64 capacity() const { return static_cast<i64>(data_.capacity()); }
 
     /**
      * Mutable element access. Bounds-checked in Debug builds (and
@@ -171,6 +177,9 @@ class Tensor
         const size_t n = static_cast<size_t>(shape.size());
         if (n > data_.capacity()) {
             note_buffer_allocation();
+            // Grow to exactly n, not resize()'s geometric step: the
+            // buffer then holds the largest shape and nothing more.
+            data_.reserve(n);
         }
         shape_ = shape;
         data_.resize(n);

@@ -1,8 +1,7 @@
 #include "tensor/tensor_ops.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
 
 namespace eva2 {
 
@@ -159,87 +158,6 @@ all_close(const Tensor &a, const Tensor &b, double tol)
         return false;
     }
     return max_abs_diff(a, b) <= tol;
-}
-
-namespace {
-
-/**
- * Map a float's bit pattern to a monotonically ordered integer:
- * negative floats mirror below zero so that consecutive representable
- * values are consecutive integers across the whole range (the
- * standard trick behind ulp distance).
- */
-i64
-ordered_bits(float x)
-{
-    i32 bits;
-    static_assert(sizeof(bits) == sizeof(x), "float is not 32-bit");
-    std::memcpy(&bits, &x, sizeof(bits));
-    const i64 b = static_cast<i64>(bits);
-    if (b >= 0) {
-        return b;
-    }
-    // Negative floats: signed bits run from INT32_MIN (-0.0) down the
-    // magnitude scale, so subtracting from INT32_MIN mirrors them
-    // below zero with -0.0 landing exactly on 0 (= +0.0).
-    return static_cast<i64>(std::numeric_limits<i32>::min()) - b;
-}
-
-} // namespace
-
-i64
-ulp_diff(float a, float b)
-{
-    if (std::isnan(a) || std::isnan(b)) {
-        return std::numeric_limits<i64>::max();
-    }
-    if (std::isinf(a) || std::isinf(b)) {
-        return a == b ? 0 : std::numeric_limits<i64>::max();
-    }
-    const i64 d = ordered_bits(a) - ordered_bits(b);
-    return d >= 0 ? d : -d;
-}
-
-i64
-max_ulp_diff(const Tensor &a, const Tensor &b)
-{
-    return divergence(a, b).max_ulp;
-}
-
-DivergenceReport
-divergence(const Tensor &a, const Tensor &b)
-{
-    require(a.shape() == b.shape(), "divergence: shape mismatch " +
-                                        a.shape().str() + " vs " +
-                                        b.shape().str());
-    DivergenceReport rep;
-    for (i64 i = 0; i < a.size(); ++i) {
-        const i64 u = ulp_diff(a[i], b[i]);
-        if (u > rep.max_ulp) {
-            rep.max_ulp = u;
-            rep.worst_index = i;
-        }
-        rep.max_abs =
-            std::max(rep.max_abs,
-                     std::fabs(static_cast<double>(a[i]) - b[i]));
-    }
-    return rep;
-}
-
-bool
-within_tolerance(const Tensor &a, const Tensor &b, i64 max_ulp,
-                 double max_abs)
-{
-    if (a.shape() != b.shape()) {
-        return false;
-    }
-    for (i64 i = 0; i < a.size(); ++i) {
-        if (ulp_diff(a[i], b[i]) > max_ulp &&
-            !(std::fabs(static_cast<double>(a[i]) - b[i]) <= max_abs)) {
-            return false;
-        }
-    }
-    return true;
 }
 
 float

@@ -71,39 +71,6 @@ bool all_close(const Tensor &a, const Tensor &b, double tol = 1e-5);
  */
 float bilinear_sample(const Tensor &t, i64 c, double y, double x);
 
-/**
- * Distance between two floats in units in the last place: the number
- * of representable floats strictly between them (0 for bit-identical
- * values; +0.0 and -0.0 are 0 apart). NaN in either operand returns
- * I64_MAX, as does an infinity mismatch — divergence checks must
- * fail loudly on non-finite disagreement, not wrap around.
- */
-i64 ulp_diff(float a, float b);
-
-/** Largest elementwise ulp_diff between two tensors. */
-i64 max_ulp_diff(const Tensor &a, const Tensor &b);
-
-/** Elementwise divergence between a tensor and its reference. */
-struct DivergenceReport
-{
-    i64 max_ulp = 0;      ///< Largest units-in-last-place distance.
-    double max_abs = 0.0; ///< Largest absolute difference (L-inf).
-    i64 worst_index = -1; ///< Flat index of the max-ulp element.
-};
-
-/** Per-element divergence sweep; shapes must match. */
-DivergenceReport divergence(const Tensor &a, const Tensor &b);
-
-/**
- * The bounded-divergence acceptance check gating SIMD kernels against
- * the scalar oracle (two-tier verification, docs/simd_kernels.md):
- * every element must be within `max_ulp` ulps *or* within `max_abs`
- * absolutely (the absolute escape covers near-zero elements, where
- * one rounding step is many ulps).
- */
-bool within_tolerance(const Tensor &a, const Tensor &b, i64 max_ulp,
-                      double max_abs);
-
 } // namespace eva2
 
 #endif // EVA2_TENSOR_TENSOR_OPS_H

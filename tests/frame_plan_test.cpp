@@ -344,8 +344,7 @@ small_config(const std::string &policy, i64 depth, i64 threads)
 
 /**
  * The acceptance sweep: for every scenario kind in the multi-stream
- * serving set, every key-frame policy, and both kernel specs, the
- * pipelined FramePlan path must reproduce the serial reference
+ * serving set and every key-frame policy, the pipelined FramePlan path must reproduce the serial reference
  * engine's (one thread, depth 1, batch off) per-stream digests bit
  * for bit.
  */
@@ -368,33 +367,21 @@ TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
         "adaptive_error:th=0.05,max_gap=6",
         "adaptive_motion:th=60,max_gap=6",
     };
-    const std::vector<std::string> kernels = {"gemm",
-                                              "tuned:budget_us=1000"};
 
     for (const std::string &policy : policies) {
-        for (const std::string &kernel : kernels) {
-            auto config = [&](i64 depth, i64 threads) {
-                EngineConfig c = small_config(policy, depth, threads);
-                c.kernel = kernel;
-                return c;
-            };
-            Engine serial(net, config(1, 1));
-            Engine pipelined(net, config(3, 4));
-            const RunReport a = serial.run(streams);
-            const RunReport b = pipelined.run(streams);
-            ASSERT_EQ(a.streams.size(), b.streams.size());
-            for (size_t i = 0; i < a.streams.size(); ++i) {
-                EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
-                    << "policy " << policy << ", kernel " << kernel
-                    << ", stream " << a.streams[i].name;
-                EXPECT_EQ(a.streams[i].key_frames,
-                          b.streams[i].key_frames);
-                EXPECT_EQ(a.streams[i].me_add_ops,
-                          b.streams[i].me_add_ops);
-            }
-            EXPECT_EQ(a.digest, b.digest)
-                << "policy " << policy << ", kernel " << kernel;
+        Engine serial(net, small_config(policy, 1, 1));
+        Engine pipelined(net, small_config(policy, 3, 4));
+        const RunReport a = serial.run(streams);
+        const RunReport b = pipelined.run(streams);
+        ASSERT_EQ(a.streams.size(), b.streams.size());
+        for (size_t i = 0; i < a.streams.size(); ++i) {
+            EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
+                << "policy " << policy << ", stream "
+                << a.streams[i].name;
+            EXPECT_EQ(a.streams[i].key_frames, b.streams[i].key_frames);
+            EXPECT_EQ(a.streams[i].me_add_ops, b.streams[i].me_add_ops);
         }
+        EXPECT_EQ(a.digest, b.digest) << "policy " << policy;
     }
 }
 

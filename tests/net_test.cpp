@@ -3,7 +3,7 @@
  * Tests for the TCP serving front end (src/net): wire-protocol
  * round-trips and hostile-input hardening, loopback end-to-end digest
  * identity against in-process submission across a scenario x policy x
- * kernel sweep, backpressure (the window is a hard bound), load
+ * threading sweep, backpressure (the window is a hard bound), load
  * shedding under overload, admission control, graceful drain with
  * zero lost in-flight frames — plus regression tests pinning the
  * cross-thread Session::wait() semantics the IO loop depends on
@@ -323,25 +323,22 @@ inprocess_digests(const Network &net, const EngineConfig &config,
 TEST(NetServer, LoopbackDigestsMatchInProcessAcrossConfigs)
 {
     // The serving layer must be invisible to the results: for every
-    // policy x kernel (x threading) config, digests over TCP equal
+    // policy (x threading) config, digests over TCP equal
     // digests from direct submission, bit for bit.
     NetFixture fx;
     struct Case
     {
         const char *policy;
-        const char *kernel;
         i64 threads;
     };
     const Case cases[] = {
-        {"static:interval=2", "gemm", 1},
-        {"static:interval=2", "tuned:budget_us=1000", 1},
-        {"adaptive_error:th=0.05,max_gap=8", "gemm", 1},
-        {"static:interval=2", "gemm", 2},
+        {"static:interval=2", 1},
+        {"adaptive_error:th=0.05,max_gap=8", 1},
+        {"static:interval=2", 2},
     };
     for (const Case &c : cases) {
         EngineConfig config;
         config.policy = c.policy;
-        config.kernel = c.kernel;
         config.num_threads = c.threads;
 
         const std::vector<u64> expected =
@@ -366,7 +363,7 @@ TEST(NetServer, LoopbackDigestsMatchInProcessAcrossConfigs)
             }
             for (size_t s = 0; s < fx.streams.size(); ++s) {
                 EXPECT_EQ(sessions[s]->chained_digest(), expected[s])
-                    << "policy=" << c.policy << " kernel=" << c.kernel
+                    << "policy=" << c.policy
                     << " threads=" << c.threads << " stream=" << s;
             }
             client.close();

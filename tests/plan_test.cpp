@@ -238,15 +238,13 @@ im2col_oracle(const Tensor &in, const ConvGeometry &g, const Shape &os)
 }
 
 /** Every variant this machine can run: the scalar oracle, plus the
- * bit-exact and fma SIMD tiles when SIMD is supported. */
+ * bit-exact SIMD tile when SIMD is supported. */
 std::vector<GemmVariant>
 runnable_variants()
 {
     std::vector<GemmVariant> vs = {GemmVariant::kScalar};
     if (simd_supported()) {
         vs.push_back(GemmVariant::kExact);
-        vs.insert(vs.end(), simd_gemm_variants().begin(),
-                  simd_gemm_variants().end());
     }
     return vs;
 }
@@ -372,10 +370,6 @@ TEST(Im2colPackStrip, VariantsAndPoolSizesMatchSeedBitExactly)
                     const Tensor want_b = net.forward(b);
                     const ExecutionPlan plan(net);
                     const BatchedExecutionPlan batched(plan, 2);
-                    std::vector<GemmVariant> exact = {GemmVariant::kScalar};
-                    if (simd_supported()) {
-                        exact.push_back(GemmVariant::kExact);
-                    }
                     for (const i64 threads : {1, 2, 4}) {
                         ThreadPool::set_global_size(threads);
                         const std::string what =
@@ -384,7 +378,7 @@ TEST(Im2colPackStrip, VariantsAndPoolSizesMatchSeedBitExactly)
                             " p=" + std::to_string(pad) +
                             " ow=" + std::to_string(ow) + " x" +
                             std::to_string(threads);
-                        for (const GemmVariant v : exact) {
+                        for (const GemmVariant v : runnable_variants()) {
                             Tensor out(want_a.shape());
                             conv_im2col_gemm(a, g, conv.weights().data(),
                                              conv.biases().data(), out,
@@ -653,17 +647,17 @@ TEST(Engine, KernelSpecsValidateEagerly)
         typo.validate(net);
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
-        // The error names the alternatives.
+        // The error names the one kernel there is.
         EXPECT_NE(std::string(e.what()).find("gemm"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("tuned"),
                   std::string::npos);
     }
 
-    // Unknown parameters, and the removed `direct` kind and `fuse`
-    // parameter, are rejected before any frame runs.
+    // Parameters, and the removed `direct` and `tuned` kinds and
+    // `fuse` and `budget_us` parameters, are rejected before any
+    // frame runs.
     for (const char *spec :
-         {"gemm:fused=1", "direct", "gemm:fuse=0", "tuned:fuse=1"}) {
+         {"gemm:fused=1", "direct", "gemm:fuse=0", "tuned:fuse=1", "tuned",
+          "tuned:budget_us=1000", "gemm:budget_us=1"}) {
         EngineConfig bad;
         bad.kernel = spec;
         EXPECT_THROW(bad.validate(net), ConfigError) << spec;

@@ -306,9 +306,8 @@ small_config(const std::string &batch, i64 threads, i64 depth)
  * The acceptance sweep: per-stream digests with suffix batching are
  * bit-identical to the serial reference engine (one thread, depth 1,
  * batch off) for every scenario kind in the serving set and every
- * policy, under the default bit-exact kernel spec. (`tuned` is not
- * swept: its SIMD FC dot accumulates a batched sample in a different
- * order than an unbatched one, so its digests depend on batching.)
+ * policy. Every kernel is bit-exact against the scalar oracle, so
+ * batching cannot change a digest under the only kernel spec.
  */
 TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
 {

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "tensor/scratch_arena.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -232,6 +233,21 @@ TEST(Tensor, ReshapeToChangesShapeAndKeepsCapacity)
     t.reshape_to(Shape{8, 8, 8});
     EXPECT_GE(Tensor::buffer_allocations() - before, 1u);
     EXPECT_EQ(t.size(), 8 * 8 * 8);
+    EXPECT_EQ(t.capacity(), 8 * 8 * 8);
+}
+
+TEST(ScratchArena, BytesReservedCountsRetainedCapacity)
+{
+    ScratchArena arena;
+    arena.slot(0, Shape{4, 16, 16});
+    arena.slot(1, Shape{1, 2, 2});
+    // Slot 0 shrinks but keeps its 4x16x16 buffer, and the arena
+    // reports what it holds, not what the current shapes use.
+    arena.slot(0, Shape{1, 3, 3});
+    EXPECT_EQ(arena.bytes_reserved(), (4 * 16 * 16 + 4) * sizeof(float));
+    arena.release_slots();
+    EXPECT_EQ(arena.num_slots(), 2);
+    EXPECT_EQ(arena.bytes_reserved(), 0u);
 }
 
 TEST(Tensor, ReshapeToRejectsNegativeDimensions)
