@@ -102,11 +102,8 @@ class Tensor
     i64 width() const { return shape_.w; }
     i64 size() const { return shape_.size(); }
     bool empty() const { return data_.empty(); }
-    /**
-     * Elements the buffer holds, which reshape_to never shrinks: at
-     * least size(), and the largest shape reshaped to since the last
-     * (re)assignment.
-     */
+    /** Elements the buffer holds (at least size()); reshape_to never
+     * shrinks it. */
     i64 capacity() const { return static_cast<i64>(data_.capacity()); }
 
     /**

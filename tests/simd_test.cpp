@@ -30,7 +30,7 @@ namespace eva2 {
 namespace {
 
 // --------------------------------------------------------------------
-// Tier 1: bit-exact SIMD kernels
+// Bit-exact SIMD kernels vs the scalar oracle
 
 TEST(SimdKernels, ReluMatchesScalarBitForBit)
 {
